@@ -6,10 +6,10 @@
 //	bench -fig all
 //	bench -fig fig17 -proofs 10 -seed 42
 //	bench -fig fig16 -experts 14
-//	bench -fig all -json compiled && bench -fig all -legacy -json legacy
+//	bench -fig all -json timings # also write per-figure wall times to BENCH_timings.json
 //	bench -fig serving    # cold vs warm explain-all; writes BENCH_serving.json
 //	bench -fig incremental # single-fact update vs full re-chase; writes BENCH_incremental.json
-//	bench -fig columnar   # join engines on a million-fact EKG; writes BENCH_columnar.json
+//	bench -fig columnar   # join throughput and strategies on a million-fact EKG; writes BENCH_columnar.json
 //	bench -fig write      # serialized vs group-commit write throughput; writes BENCH_write.json
 //	bench -fig load       # 100k-session serving-tier load harness; writes BENCH_load.json
 package main
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -28,14 +29,58 @@ import (
 	"repro/internal/figures"
 )
 
-// benchSnapshot is the machine-readable timing record written by -json.
+// envelope records when, from which commit and on what toolchain and cores
+// a BENCH_*.json snapshot was produced, so two committed numbers are never
+// compared without knowing whether the same setup produced them. Every
+// snapshot type embeds it.
+type envelope struct {
+	Generated  string `json:"generated"`
+	Commit     string `json:"commit"`
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Cores      int    `json:"cores"`
+	Workers    int    `json:"workers"`
+}
+
+func newEnvelope(workers int) envelope {
+	commit := "unknown (not a git checkout)"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+		// Uncommitted changes to tracked files mean the numbers are not
+		// that commit's.
+		if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+			commit += "+dirty"
+		}
+	}
+	return envelope{
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Commit:     commit,
+		Go:         runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Cores:      runtime.NumCPU(),
+		Workers:    workers,
+	}
+}
+
+// writeSnapshot writes one machine-readable record to BENCH_<label>.json.
+func writeSnapshot(label string, snap any) error {
+	path := "BENCH_" + label + ".json"
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return fmt.Errorf("marshal %s snapshot: %w", label, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	fmt.Fprintf(os.Stderr, "bench: wrote %s\n", path)
+	return nil
+}
+
+// benchSnapshot is the per-figure wall-time record written by -json.
 type benchSnapshot struct {
-	Label     string        `json:"label"`
-	Generated string        `json:"generated"`
-	Go        string        `json:"go"`
-	Workers   int           `json:"workers"`
-	Legacy    bool          `json:"legacy"`
-	Figures   []figureTimes `json:"figures"`
+	envelope
+	Label   string        `json:"label"`
+	Figures []figureTimes `json:"figures"`
 }
 
 type figureTimes struct {
@@ -43,53 +88,44 @@ type figureTimes struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// servingSnapshot is the machine-readable cold/warm serving-latency record
-// written to BENCH_serving.json by `bench -fig serving`.
+// servingSnapshot is the cold/warm serving-latency record `bench -fig
+// serving` writes to BENCH_serving.json.
 type servingSnapshot struct {
-	Generated string                 `json:"generated"`
-	Go        string                 `json:"go"`
-	Workers   int                    `json:"workers"`
+	envelope
 	Workloads []figures.ServingPoint `json:"workloads"`
 }
 
-// incrementalSnapshot is the machine-readable update-vs-re-chase record
-// written to BENCH_incremental.json by `bench -fig incremental`.
+// incrementalSnapshot is the update-vs-re-chase record `bench -fig
+// incremental` writes to BENCH_incremental.json.
 type incrementalSnapshot struct {
-	Generated string                     `json:"generated"`
-	Go        string                     `json:"go"`
-	Workers   int                        `json:"workers"`
+	envelope
 	Workloads []figures.IncrementalPoint `json:"workloads"`
 }
 
-// columnarSnapshot is the machine-readable join-engine comparison record
-// written to BENCH_columnar.json by `bench -fig columnar`.
+// columnarSnapshot is the join-throughput record `bench -fig columnar`
+// writes to BENCH_columnar.json.
 type columnarSnapshot struct {
-	Generated string                  `json:"generated"`
-	Go        string                  `json:"go"`
+	envelope
 	Workloads []figures.ColumnarPoint `json:"workloads"`
 }
 
-// writeSnapshot is the machine-readable write-throughput record written to
-// BENCH_write.json by `bench -fig write`.
-type writeSnapshot struct {
-	Generated string               `json:"generated"`
-	Go        string               `json:"go"`
-	Workers   int                  `json:"workers"`
+// writePathSnapshot is the write-throughput record `bench -fig write` writes
+// to BENCH_write.json.
+type writePathSnapshot struct {
+	envelope
 	Workloads []figures.WritePoint `json:"workloads"`
 	// CrossSessions holds the before/after rows of cross-session fsync
 	// batching: independent per-session flushing vs the shared SyncBatcher.
 	CrossSessions []figures.CrossSyncPoint `json:"crossSessions"`
 }
 
-// loadSnapshot is the machine-readable serving-tier load record written to
-// BENCH_load.json by `bench -fig load`. Each workload carries the per-class
-// latency percentiles and durability counters plus the restore-latency
-// summary and, for the routed topology, the routing-layer delta
-// (retries/failovers and session-location-cache activity).
+// loadSnapshot is the serving-tier load record `bench -fig load` writes to
+// BENCH_load.json. Each workload carries the per-class latency percentiles
+// and durability counters plus the restore-latency summary and, for the
+// routed topology, the routing-layer delta (retries/failovers and
+// session-location-cache activity).
 type loadSnapshot struct {
-	Generated string              `json:"generated"`
-	Go        string              `json:"go"`
-	Workers   int                 `json:"workers"`
+	envelope
 	Workloads []figures.LoadPoint `json:"workloads"`
 }
 
@@ -101,8 +137,6 @@ func main() {
 		participants = flag.Int("participants", 24, "comprehension-study participants (fig14)")
 		experts      = flag.Int("experts", 14, "expert-study raters (fig16)")
 		workers      = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; figures are identical at any setting")
-		legacy       = flag.Bool("legacy", false, "use the legacy map-based join engine (timing baseline; figures are identical)")
-		batch        = flag.Bool("batch", false, "use the batch-at-a-time columnar join executor (figures are identical)")
 		sessions     = flag.Int("sessions", 0, "load: concurrent-session population (0 = the official 100k)")
 		ops          = flag.Int("ops", 0, "load: steady-state operations (0 = 100k)")
 		concurrency  = flag.Int("concurrency", 0, "load: client goroutines (0 = 64)")
@@ -113,8 +147,6 @@ func main() {
 	ctx, stopSignals := cmdutil.SignalContext(*timeout)
 	defer stopSignals()
 	figures.SetChaseWorkers(*workers)
-	figures.SetChaseLegacy(*legacy)
-	figures.SetChaseBatch(*batch)
 
 	runners := map[string]func() (string, error){
 		"fig3": func() (string, error) { return figures.Fig3Fig9DependencyGraphs() },
@@ -156,105 +188,35 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			snap := servingSnapshot{
-				Generated: time.Now().UTC().Format(time.RFC3339),
-				Go:        runtime.Version(),
-				Workers:   *workers,
-				Workloads: points,
-			}
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				return "", fmt.Errorf("marshal serving snapshot: %w", err)
-			}
-			if err := os.WriteFile("BENCH_serving.json", append(data, '\n'), 0o644); err != nil {
-				return "", fmt.Errorf("write BENCH_serving.json: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "bench: wrote BENCH_serving.json")
-			return out, nil
+			return out, writeSnapshot("serving", servingSnapshot{newEnvelope(*workers), points})
 		},
 		"incremental": func() (string, error) {
 			out, points, err := figures.IncrementalLatency()
 			if err != nil {
 				return "", err
 			}
-			snap := incrementalSnapshot{
-				Generated: time.Now().UTC().Format(time.RFC3339),
-				Go:        runtime.Version(),
-				Workers:   *workers,
-				Workloads: points,
-			}
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				return "", fmt.Errorf("marshal incremental snapshot: %w", err)
-			}
-			if err := os.WriteFile("BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
-				return "", fmt.Errorf("write BENCH_incremental.json: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "bench: wrote BENCH_incremental.json")
-			return out, nil
+			return out, writeSnapshot("incremental", incrementalSnapshot{newEnvelope(*workers), points})
 		},
 		"columnar": func() (string, error) {
 			out, points, err := figures.ColumnarThroughput()
 			if err != nil {
 				return "", err
 			}
-			snap := columnarSnapshot{
-				Generated: time.Now().UTC().Format(time.RFC3339),
-				Go:        runtime.Version(),
-				Workloads: points,
-			}
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				return "", fmt.Errorf("marshal columnar snapshot: %w", err)
-			}
-			if err := os.WriteFile("BENCH_columnar.json", append(data, '\n'), 0o644); err != nil {
-				return "", fmt.Errorf("write BENCH_columnar.json: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "bench: wrote BENCH_columnar.json")
-			return out, nil
+			return out, writeSnapshot("columnar", columnarSnapshot{newEnvelope(*workers), points})
 		},
 		"write": func() (string, error) {
 			out, points, cross, err := figures.WriteThroughput()
 			if err != nil {
 				return "", err
 			}
-			snap := writeSnapshot{
-				Generated:     time.Now().UTC().Format(time.RFC3339),
-				Go:            runtime.Version(),
-				Workers:       *workers,
-				Workloads:     points,
-				CrossSessions: cross,
-			}
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				return "", fmt.Errorf("marshal write snapshot: %w", err)
-			}
-			if err := os.WriteFile("BENCH_write.json", append(data, '\n'), 0o644); err != nil {
-				return "", fmt.Errorf("write BENCH_write.json: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "bench: wrote BENCH_write.json")
-			return out, nil
+			return out, writeSnapshot("write", writePathSnapshot{newEnvelope(*workers), points, cross})
 		},
 		"load": func() (string, error) {
 			out, points, err := figures.LoadCapacity(*sessions, *ops, *concurrency)
 			if err != nil {
 				return "", err
 			}
-			snap := loadSnapshot{
-				Generated: time.Now().UTC().Format(time.RFC3339),
-				Go:        runtime.Version(),
-				Workers:   *workers,
-				Workloads: points,
-			}
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				return "", fmt.Errorf("marshal load snapshot: %w", err)
-			}
-			if err := os.WriteFile("BENCH_load.json", append(data, '\n'), 0o644); err != nil {
-				return "", fmt.Errorf("write BENCH_load.json: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "bench: wrote BENCH_load.json")
-			return out, nil
+			return out, writeSnapshot("load", loadSnapshot{newEnvelope(*workers), points})
 		},
 	}
 	// Aliases: the paper's figure numbers group several renderings.
@@ -268,13 +230,7 @@ func main() {
 	if *fig == "all" {
 		ids = []string{"fig3", "fig10", "fig6", "fig7", "fig8", "ex48", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18"}
 	}
-	snap := benchSnapshot{
-		Label:     *jsonLabel,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		Workers:   *workers,
-		Legacy:    *legacy,
-	}
+	snap := benchSnapshot{envelope: newEnvelope(*workers), Label: *jsonLabel}
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
@@ -302,16 +258,9 @@ func main() {
 		fmt.Println(out)
 	}
 	if *jsonLabel != "" {
-		path := "BENCH_" + *jsonLabel + ".json"
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: marshal snapshot: %v\n", err)
+		if err := writeSnapshot(*jsonLabel, snap); err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", path)
 	}
 }

@@ -39,12 +39,11 @@ func main() {
 		paths    = flag.Bool("paths", false, "also print the reasoning paths composed")
 		anon     = flag.Bool("anonymize", false, "pseudonymize entity names in the explanation")
 		workers  = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; explanations are identical at any setting")
-		batch    = flag.Bool("batch", false, "use the batch-at-a-time columnar join executor; explanations are identical either way")
 		timeout  = flag.Duration("timeout", 0, "abort reasoning after this long (0 = no deadline); Ctrl-C always cancels cleanly")
 	)
 	flag.Parse()
 
-	pipe, extra, err := buildPipeline(*appName, *progPath, *glosPath, *factPath, *noScen, *workers, *batch)
+	pipe, extra, err := buildPipeline(*appName, *progPath, *glosPath, *factPath, *noScen, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,10 +103,9 @@ func main() {
 	}
 }
 
-func buildPipeline(appName, progPath, glosPath, factPath string, noScenario bool, workers int, batch bool) (*core.Pipeline, []ast.Atom, error) {
+func buildPipeline(appName, progPath, glosPath, factPath string, noScenario bool, workers int) (*core.Pipeline, []ast.Atom, error) {
 	cfg := core.Config{Enhancer: &enhancer.Fluent{Variants: 2, Seed: 1}}
 	cfg.Chase.Workers = workers
-	cfg.Chase.Batch = batch
 	var pipe *core.Pipeline
 	var extra []ast.Atom
 	switch {

@@ -30,7 +30,6 @@ func main() {
 		graph    = flag.Bool("graph", false, "print the chase graph")
 		dot      = flag.Bool("dot", false, "print the chase graph in Graphviz DOT syntax")
 		workers  = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; results are identical at any setting")
-		batch    = flag.Bool("batch", false, "use the batch-at-a-time columnar join executor; results are identical either way")
 		timeout  = flag.Duration("timeout", 0, "abort the chase after this long (0 = no deadline); Ctrl-C always cancels cleanly")
 	)
 	flag.Parse()
@@ -41,7 +40,7 @@ func main() {
 	}
 	ctx, stop := cmdutil.SignalContext(*timeout)
 	defer stop()
-	res, err := chase.RunContext(ctx, prog, chase.Options{ExtraFacts: extra, Workers: *workers, Batch: *batch})
+	res, err := chase.RunContext(ctx, prog, chase.Options{ExtraFacts: extra, Workers: *workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -54,6 +53,10 @@ func main() {
 	default:
 		fmt.Printf("fixpoint after %d rounds, %d facts (%d derived)\n",
 			res.Rounds, res.Store.Len(), len(res.Steps))
+		js := res.JoinStats
+		fmt.Printf("joins: %d frame, %d batch (%d leapfrog, %d probe, %d scan passes, %d frame fallbacks); columnar index: %d rebuilds, %d merges, %d tail refreshes\n",
+			js.FrameJoins, js.BatchJoins, js.TriejoinPasses, js.ProbePasses, js.ScanPasses, js.FrameFallbacks,
+			js.Rebuilds, js.Merges, js.TailRefreshes)
 		fmt.Printf("answers for %s:\n", prog.Output)
 		for _, id := range res.Answers() {
 			fmt.Printf("  %s\n", res.Store.Get(id))

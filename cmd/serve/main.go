@@ -40,7 +40,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "chase worker-pool size per reasoning request: 0 = sequential, -1 = all cores")
-	batch := flag.Bool("batch", false, "use the batch-at-a-time columnar join executor for reasoning requests; responses are identical either way")
 	maxSessions := flag.Int("max-sessions", 0, "session LRU capacity (0 = default)")
 	maxExplanations := flag.Int("max-explanations", 0, "rendered-explanation LRU capacity (0 = default)")
 	resultCache := flag.Int("result-cache", 0, "per-app reasoning-result cache capacity (0 = default)")
@@ -64,7 +63,6 @@ func main() {
 	}
 	s, err := server.NewWithOptions(server.Options{
 		ChaseWorkers:    *workers,
-		ChaseBatch:      *batch,
 		MaxSessions:     *maxSessions,
 		MaxExplanations: *maxExplanations,
 		ResultCacheSize: *resultCache,

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/parser"
@@ -155,29 +154,45 @@ func TestIntegrationDeepCascade(t *testing.T) {
 	}
 }
 
-// TestIntegrationNaiveSemiNaiveAtScale: the two evaluation strategies agree
-// on a large mixed workload.
-func TestIntegrationNaiveSemiNaiveAtScale(t *testing.T) {
+// TestIntegrationJoinStrategyAtScale: the engine picks its join executor
+// from the size of its input — a bundled scenario stays on the frame
+// executor, a fifteen-thousand-edge ownership graph moves to the batch
+// executor — and the strategy counters on the result say so. Explanations
+// over the batch-evaluated graph stay complete.
+func TestIntegrationJoinStrategyAtScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scale equivalence skipped in -short mode")
+		t.Skip("scale run skipped in -short mode")
 	}
-	sc := synth.ControlChain(60, 3)
-	app, _ := apps.ByName(sc.App)
-	prog := app.Program()
-	semi, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts})
+	app, _ := apps.ByName(apps.NameCompanyControl)
+	pipe, err := app.Pipeline(core.Config{SkipEnhancement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts, Naive: true})
+	small, err := pipe.Reason(app.Scenario()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if semi.Store.Len() != naive.Store.Len() {
-		t.Fatalf("fact counts differ: %d vs %d", semi.Store.Len(), naive.Store.Len())
+	if js := small.JoinStats; js.FrameJoins == 0 || js.BatchJoins != 0 {
+		t.Errorf("bundled scenario: want frame joins only, got %+v", js)
 	}
-	for _, f := range semi.Store.Facts() {
-		if naive.Store.Lookup(f.Atom) == nil {
-			t.Errorf("fact %v missing from naive run", f)
+	large, err := pipe.Reason(synth.RandomControl(6, 2000, 7).Facts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := large.JoinStats; js.BatchJoins == 0 || js.TriejoinPasses == 0 {
+		t.Errorf("large graph: want batch joins with leapfrog merges, got %+v", js)
+	}
+	answers := large.Answers()
+	if len(answers) == 0 {
+		t.Fatal("large graph derived no control facts")
+	}
+	for _, id := range answers[:20] {
+		e, err := pipe.ExplainFact(large, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Verify(); err != nil {
+			t.Error(err)
 		}
 	}
 }

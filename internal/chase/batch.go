@@ -1,6 +1,8 @@
 package chase
 
-// Batch-at-a-time columnar join execution (Options.Batch).
+// Batch-at-a-time columnar join execution: the strategy the engine picks for
+// rule evaluations over large inputs (engine.chooseBatch, batchMinExtent
+// below).
 //
 // The frame executor (plan.go) is tuple-at-a-time: one depth-first walk per
 // seed match, probing the store's hash indexes per partial binding. The
@@ -12,7 +14,9 @@ package chase
 // run as whole-column filters with vectorized fast paths, and the columns
 // either convert to []binding at the emission boundary (aggregation,
 // constraints) or feed the vectorized emission path directly
-// (engine.emitCols).
+// (engine.emitCols). Its first pass over a predicate pays for that
+// predicate's columnar index; a store has to be big enough for the passes
+// to earn that back, which is what batchMinExtent measures.
 //
 // Join strategies. Per depth, newBatchExec picks the cheapest probe
 // (constant run, bound-slot run, or extent scan); a bound-slot probe over a
@@ -39,7 +43,8 @@ package chase
 // dropped.
 //
 // Determinism contract. The batch output is byte-identical to the frame
-// executor's (and hence to the legacy engine's) at any worker count:
+// executor's (and hence to the reference interpreter's) at any worker count,
+// which is what lets the engine switch between them per rule evaluation:
 //
 //   - The frame executor's leaf order is the lexicographic order of the
 //     per-depth fact-id choices (per depth it enumerates candidates in
@@ -90,6 +95,31 @@ import (
 )
 
 const (
+	// batchMinExtent is the cut-over between the two executors: a rule
+	// evaluation runs on the batch executor once its largest body predicate
+	// holds this many facts (engine.chooseBatch). It is picked from
+	// BenchmarkJoinCutover (cutover_bench_test.go), which pins the engine to
+	// either executor on the same chase; eval time in µs, frame / batch,
+	// go1.24.0 on 2 cores, by extensional facts:
+	//
+	//	bundled apps on their scenarios (4-17)   38/45  75/87  58/68  124/129
+	//	ControlChainJoint(12,3), the benchmark's
+	//	chase.small_run_us instance (17)          412 / 499
+	//	two-hop over LayeredOwnership             1040: 193/318   2100: 586/657
+	//	                                          3096: 976/891   4128: 1694/1397
+	//	                                          16448: 6576/4569   153900: 102845/51642
+	//	majority-reach over LayeredOwnership      1040: 124/214   2100: 355/523
+	//	                                          3096: 627/728   4128: 924/718
+	//	                                          16448: 5571/2133   153900: 74468/18499
+	//	company control over RandomControl        2271: 12884/12258   7550: 56921/54852
+	//	(kg_batch's shape)                        15062: 132517/123151   75123: 1005631/784012
+	//
+	// The frame executor wins below about three thousand facts (by 4-21% on
+	// session-sized stores, up to 1.7x on join-bound ones), the batch
+	// executor from about four thousand, by a margin that grows with the
+	// store (2x and 4x at 150k facts; EXPERIMENTS.md has the million-fact
+	// end); aggregation-bound chases are within 7% either way at every size.
+	batchMinExtent = 4096
 	// mergeThreshold is the tuple count at which a bound-slot probe upgrades
 	// to the sorted-merge (leapfrog) extension. Below it, per-tuple galloping
 	// probes win — no sort, and the run cursor still advances monotonically
@@ -631,7 +661,7 @@ func (bx *batchExec) extend(d int, st *batchCols, js *database.ColumnarStats) *b
 	case probeBound:
 		col := st.slots[ad.probeSlot]
 		it := ad.c.Iter(ad.probePos)
-		if st.n >= mergeThreshold {
+		if st.n >= bx.e.tune.mergeThreshold {
 			// Leapfrog: sort the tuples by the join key (skipped when a
 			// previous merge on the same slot left them sorted), then
 			// intersect the distinct ascending keys against the sorted runs
@@ -1258,14 +1288,6 @@ func (bx *batchExec) finish(st *batchCols, js *database.ColumnarStats) (*batchCo
 	}
 }
 
-// batchUnit is one pivot's (or pivot chunk's) contribution to a batch join,
-// in canonical order: leaf columns from a batch pass, or materialized
-// bindings from a frame-fallback pivot (or a wantBindings caller).
-type batchUnit struct {
-	cols  *batchCols
-	binds []binding
-}
-
 // pivotNewCount is the semi-naive delta size of one pivot: the number of
 // live facts of the pivot atom's predicate at or beyond the boundary. It
 // depends only on store state, so sequential and parallel mode make the
@@ -1275,16 +1297,17 @@ func (e *engine) pivotNewCount(op *orderedPlan, boundary database.FactID) int {
 	return c.Extent() - int(c.DenseBoundary(boundary))
 }
 
-// joinBatchUnits evaluates a full (semi=false) or semi-naive batch join and
-// returns its units in canonical concatenation order. wantBindings converts
-// every unit to bindings (aggregation and constraint callers); the plain-
-// rule emission path takes the columns raw.
-func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]batchUnit, error) {
+// joinBatchUnits evaluates a full (semi=false) or semi-naive join on the
+// batch executor — one batch pass per pivot decomposition — and returns its
+// units in canonical concatenation order, exactly the frame executor's.
+// wantBindings converts every unit to bindings (aggregation and constraint
+// callers); the plain-rule emission path takes the columns raw.
+func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
 	e.ensurePlanColumnar(p)
 	if e.workers > 1 {
 		return e.joinBatchUnitsParallel(p, semi, boundary, wantBindings)
 	}
-	var units []batchUnit
+	var units []joinUnit
 	var js database.ColumnarStats
 	defer func() { e.store.AddJoinStats(js) }()
 	npiv := 1
@@ -1302,14 +1325,14 @@ func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wa
 			switch nc := e.pivotNewCount(op, boundary); {
 			case nc == 0:
 				continue // pivot demands a new fact; there is none
-			case nc < frameFallbackMin:
+			case nc < e.tune.frameFallbackMin:
 				js.FrameFallbacks++
 				x := e.newExecutor(p, op, pivotFilter(pivot, boundary))
 				if err := x.extend(0); err != nil {
 					return nil, err
 				}
 				if len(x.out) > 0 {
-					units = append(units, batchUnit{binds: x.out})
+					units = append(units, joinUnit{binds: x.out})
 				}
 				continue
 			}
@@ -1323,9 +1346,9 @@ func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wa
 			continue
 		}
 		if wantBindings {
-			units = append(units, batchUnit{binds: appendBindingsCols(p, st, nil)})
+			units = append(units, joinUnit{binds: appendBindingsCols(p, st, nil)})
 		} else {
-			units = append(units, batchUnit{cols: st})
+			units = append(units, joinUnit{cols: st})
 		}
 	}
 	return units, nil
@@ -1336,7 +1359,7 @@ func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wa
 // run sequentially before the freeze (the frame executor is cheap on tiny
 // deltas and must not race the freeze discipline); merging chunk units in
 // (pivot, chunk) order reproduces the sequential concatenation exactly.
-func (e *engine) joinBatchUnitsParallel(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]batchUnit, error) {
+func (e *engine) joinBatchUnitsParallel(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
 	type entry struct {
 		binds  []binding
 		lo, hi int // chunk-task range; lo == hi marks a fallback entry
@@ -1360,7 +1383,7 @@ func (e *engine) joinBatchUnitsParallel(p *plan, semi bool, boundary database.Fa
 			switch nc := e.pivotNewCount(op, boundary); {
 			case nc == 0:
 				continue
-			case nc < frameFallbackMin:
+			case nc < e.tune.frameFallbackMin:
 				js.FrameFallbacks++
 				x := e.newExecutor(p, op, pivotFilter(pivot, boundary))
 				if err := x.extend(0); err != nil {
@@ -1384,51 +1407,22 @@ func (e *engine) joinBatchUnitsParallel(p *plan, semi bool, boundary database.Fa
 	if err := e.runBatchTasks(tasks, wantBindings); err != nil {
 		return nil, err
 	}
-	var units []batchUnit
+	var units []joinUnit
 	for _, en := range entries {
 		if en.lo == en.hi {
-			units = append(units, batchUnit{binds: en.binds})
+			units = append(units, joinUnit{binds: en.binds})
 			continue
 		}
 		for _, t := range tasks[en.lo:en.hi] {
 			switch {
 			case wantBindings && len(t.binds) > 0:
-				units = append(units, batchUnit{binds: t.binds})
+				units = append(units, joinUnit{binds: t.binds})
 			case !wantBindings && t.cols != nil && t.cols.n > 0:
-				units = append(units, batchUnit{cols: t.cols})
+				units = append(units, joinUnit{cols: t.cols})
 			}
 		}
 	}
 	return units, nil
-}
-
-// joinBatchBindings flattens a unit join into the classic []binding shape.
-func (e *engine) joinBatchBindings(p *plan, semi bool, boundary database.FactID) ([]binding, error) {
-	units, err := e.joinBatchUnits(p, semi, boundary, true)
-	if err != nil {
-		return nil, err
-	}
-	var all []binding
-	for _, u := range units {
-		all = append(all, u.binds...)
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	return all, nil
-}
-
-// joinBatchBody is the batch-engine full body join (sequential and parallel
-// dispatch internal).
-func (e *engine) joinBatchBody(p *plan) ([]binding, error) {
-	return e.joinBatchBindings(p, false, 0)
-}
-
-// joinBatchSemiNaive is the batch-engine semi-naive join: one batch pass per
-// pivot decomposition, outputs concatenated in pivot order exactly like the
-// frame and legacy engines.
-func (e *engine) joinBatchSemiNaive(p *plan, boundary database.FactID) ([]binding, error) {
-	return e.joinBatchBindings(p, true, boundary)
 }
 
 // batchTask is one contiguous chunk of a pivot's seed tuples, finished
@@ -1474,7 +1468,7 @@ func sliceCols(st *batchCols, lo, hi int) *batchCols {
 
 // appendBatchChunked splits a seeded tuple set into up to
 // workers*chunksPerWorker contiguous chunks, preserving tuple order across
-// the chunk sequence (the same chunk arithmetic as appendChunked).
+// the chunk sequence (the same chunk arithmetic as appendPlanChunked).
 func appendBatchChunked(tasks []*batchTask, bx *batchExec, st *batchCols, workers int) []*batchTask {
 	if st.n == 0 {
 		return tasks

@@ -6,40 +6,51 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/database"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
 
-// diffBatch runs the program through the legacy baseline, the frame
-// executor, and the batch executor (workers 0 and 4 each) and asserts that
-// all five runs are byte-for-byte identical.
-func diffBatch(t *testing.T, label, src string) {
+// diffBatch runs the program under every forced batch-executor tuning
+// (workers 0 and 4 each), asserts each run byte-for-byte identical to the
+// reference result, and adds the runs' strategy counters to sum so callers
+// can assert which join paths ran.
+func diffBatch(t *testing.T, label string, ref *Result, prog *ast.Program, facts []ast.Atom, naive bool, sum *database.ColumnarStats) {
 	t.Helper()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("%s: parse: %v", label, err)
-	}
-	for _, naive := range []bool{false, true} {
-		legacy, err := Run(prog, Options{Naive: naive, Legacy: true})
-		if err != nil {
-			t.Fatalf("%s naive=%v legacy: %v", label, naive, err)
-		}
+	for _, v := range batchTunings {
 		for _, workers := range []int{0, 4} {
-			batch, err := Run(prog, Options{Naive: naive, Workers: workers, Batch: true})
+			batch, err := runTuned(v.tn.withNaive(naive), prog, Options{ExtraFacts: facts, Workers: workers})
 			if err != nil {
-				t.Fatalf("%s naive=%v workers=%d batch: %v", label, naive, workers, err)
+				t.Fatalf("%s naive=%v workers=%d %s: %v", label, naive, workers, v.name, err)
 			}
-			diffResults(t, fmt.Sprintf("%s naive=%v workers=%d batch", label, naive, workers), legacy, batch)
+			diffResults(t, fmt.Sprintf("%s naive=%v workers=%d %s", label, naive, workers, v.name), ref, batch)
+			js := batch.JoinStats
+			sum.FrameJoins += js.FrameJoins
+			sum.BatchJoins += js.BatchJoins
+			sum.TriejoinPasses += js.TriejoinPasses
+			sum.ProbePasses += js.ProbePasses
+			sum.ScanPasses += js.ScanPasses
+			sum.FrameFallbacks += js.FrameFallbacks
+		}
+	}
+}
+
+// assertRan fails for every named strategy counter that stayed zero.
+func assertRan(t *testing.T, js database.ColumnarStats, counters map[string]uint64) {
+	t.Helper()
+	for name, n := range counters {
+		if n == 0 {
+			t.Errorf("no %s ran: %+v", name, js)
 		}
 	}
 }
 
 // TestBatchEquivalenceFixedPrograms: the batch-at-a-time columnar executor
-// reproduces the legacy engine (and hence the frame executor, which has its
-// own differential against the same baseline) byte for byte — facts, ids,
-// steps, premise order, substitutions, aggregation contributors, chase
-// graph — on every bundled program shape, in naive and semi-naive mode,
-// sequential and parallel.
+// reproduces the reference interpreter (and hence the frame executor, which
+// has its own differential against the same baseline) byte for byte —
+// facts, ids, steps, premise order, substitutions, aggregation
+// contributors, chase graph — on every bundled program shape, in naive and
+// semi-naive mode, sequential and parallel.
 func TestBatchEquivalenceFixedPrograms(t *testing.T) {
 	sources := map[string]string{
 		"stress-simple": stressSimpleSrc,
@@ -48,14 +59,33 @@ func TestBatchEquivalenceFixedPrograms(t *testing.T) {
 		"negation":      eligibleSrc,
 		"kitchen-sink":  planKitchenSrc,
 	}
+	var js database.ColumnarStats
 	for name, src := range sources {
-		diffBatch(t, name, src)
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		for _, naive := range []bool{false, true} {
+			legacy, err := runTuned(legacyRef.withNaive(naive), prog, Options{})
+			if err != nil {
+				t.Fatalf("%s naive=%v legacy: %v", name, naive, err)
+			}
+			diffBatch(t, name, legacy, prog, nil, naive, &js)
+		}
 	}
+	// Bound probes (and with them leapfrog merges) need a predicate past the
+	// columnar index's first tail-to-base merge, which these programs' few
+	// facts never reach; TestBatchTriejoinDifferential covers them.
+	assertRan(t, js, map[string]uint64{
+		"frame joins": js.FrameJoins, "batch joins": js.BatchJoins,
+		"constant probes": js.ProbePasses, "scans": js.ScanPasses,
+		"per-pivot frame fallbacks": js.FrameFallbacks,
+	})
 }
 
 // TestBatchDifferentialRandomOwnership: over 24 random layered ownership
 // graphs, the batch executor (sequential and 4 workers) is identical to the
-// frame executor.
+// reference interpreter.
 func TestBatchDifferentialRandomOwnership(t *testing.T) {
 	controlRules := `
 @output("Control").
@@ -67,31 +97,17 @@ func TestBatchDifferentialRandomOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var js database.ColumnarStats
 	for seed := int64(0); seed < 24; seed++ {
 		facts := randomOwnership(seed)
-		frame, err := Run(prog, Options{ExtraFacts: facts})
+		legacy, err := runTuned(legacyRef, prog, Options{ExtraFacts: facts})
 		if err != nil {
-			t.Fatalf("seed %d frame: %v", seed, err)
+			t.Fatalf("seed %d legacy: %v", seed, err)
 		}
-		for _, workers := range []int{0, 4} {
-			batch, err := Run(prog, Options{ExtraFacts: facts, Workers: workers, Batch: true})
-			if err != nil {
-				t.Fatalf("seed %d workers=%d batch: %v", seed, workers, err)
-			}
-			diffResults(t, fmt.Sprintf("seed %d workers=%d batch", seed, workers), frame, batch)
-		}
+		diffBatch(t, fmt.Sprintf("seed %d", seed), legacy, prog, facts, false, &js)
 	}
-}
-
-// TestBatchLegacyExclusive: Batch builds on compiled plans, so combining it
-// with the pre-compilation legacy engine is rejected up front.
-func TestBatchLegacyExclusive(t *testing.T) {
-	prog := parser.MustParse(`@output("P"). P(X) :- Q(X). Q("a").`)
-	if _, err := Run(prog, Options{Batch: true, Legacy: true}); err == nil {
-		t.Fatal("Batch+Legacy accepted, want error")
-	}
-	if _, err := Run(prog, Options{Batch: true}); err != nil {
-		t.Fatalf("Batch alone rejected: %v", err)
+	if js.BatchJoins == 0 || js.ScanPasses == 0 {
+		t.Errorf("batch executor never ran: %+v", js)
 	}
 }
 
@@ -106,8 +122,8 @@ P(X) :- Q(X).
 Q("a"). Q("b"). Bad("b").
 `
 	prog := parser.MustParse(src)
-	_, ferr := Run(prog, Options{})
-	_, berr := Run(prog, Options{Batch: true})
+	_, ferr := runTuned(frameOnly, prog, Options{})
+	_, berr := runTuned(batchOnly, prog, Options{})
 	if ferr == nil || berr == nil {
 		t.Fatalf("constraint not reported: frame=%v batch=%v", ferr, berr)
 	}
@@ -137,55 +153,59 @@ func denseOwnership(layers, width, fanout int, seed int64) []ast.Atom {
 
 // TestBatchTriejoinDifferential: on workloads sized to exercise the merge
 // (leapfrog) join path, the batch executor is byte-identical to the frame
-// executor at workers 0 and 4, in bulk and semi-naive modes — and the join
-// counters prove the triejoin actually ran rather than silently falling
-// back to per-tuple probes.
+// executor at workers 0 and 4, in bulk and semi-naive modes, under the
+// shipped thresholds and with each strategy forced — and the join counters
+// prove that leapfrog merges, per-tuple probes and scans actually ran rather
+// than one silently standing in for another.
 func TestBatchTriejoinDifferential(t *testing.T) {
-	sources := map[string]struct {
-		src string
-		// wantMerge: the workload is dense enough that every chunking
-		// (workers 0 and 4) must drive at least one depth over
-		// mergeThreshold; recursive reach deltas can legitimately stay
-		// below it at high worker counts, so only byte-identity and seek
-		// accounting are required there.
-		wantMerge bool
-	}{
-		"two-hop": {src: `
+	sources := map[string]string{
+		"two-hop": `
 @output("Risky").
 @label("t1") Risky(X, Z) :- Own(X, Y, S1), Own(Y, Z, S2), S1 > 0.5, S2 > 0.5.
-`, wantMerge: true},
-		"majority-reach": {src: `
+`,
+		"majority-reach": `
 @output("Reach").
 @label("r1") Reach(X) :- Own("L0C0", X, S), S > 0.2.
 @label("r2") Reach(Y) :- Reach(X), Own(X, Y, S), S > 0.5.
-`},
+`,
 	}
+	var js database.ColumnarStats
 	for seed := int64(0); seed < 3; seed++ {
 		facts := denseOwnership(6, 30, 8, seed)
-		for name, w := range sources {
-			src := w.src
+		for name, src := range sources {
 			prog, err := parser.Parse(src)
 			if err != nil {
 				t.Fatalf("%s: parse: %v", name, err)
 			}
-			frame, err := Run(prog, Options{ExtraFacts: facts})
+			frame, err := runTuned(frameOnly, prog, Options{ExtraFacts: facts})
 			if err != nil {
 				t.Fatalf("%s seed %d frame: %v", name, seed, err)
 			}
+			js.FrameJoins += frame.JoinStats.FrameJoins
+			diffBatch(t, fmt.Sprintf("%s seed %d", name, seed), frame, prog, facts, false, &js)
+			// Per run at the shipped thresholds: every chunking (workers 0
+			// and 4) must seek the sorted runs, and the two-hop join is
+			// dense enough that each also drives its bound-probe depth
+			// through the leapfrog merge. Recursive reach deltas can
+			// legitimately stay below mergeThreshold at high worker counts,
+			// so only seek accounting is required there.
 			for _, workers := range []int{0, 4} {
-				batch, err := Run(prog, Options{ExtraFacts: facts, Workers: workers, Batch: true})
+				batch, err := runTuned(batchOnly, prog, Options{ExtraFacts: facts, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s seed %d workers=%d batch: %v", name, seed, workers, err)
 				}
-				diffResults(t, fmt.Sprintf("%s seed %d workers=%d batch", name, seed, workers), frame, batch)
-				js := batch.Store.ColumnarStats()
-				if w.wantMerge && js.TriejoinPasses == 0 {
-					t.Fatalf("%s seed %d workers=%d: merge path never ran: %+v", name, seed, workers, js)
+				st := batch.JoinStats
+				if name == "two-hop" && st.TriejoinPasses == 0 {
+					t.Fatalf("%s seed %d workers=%d: merge path never ran: %+v", name, seed, workers, st)
 				}
-				if js.Seeks == 0 {
-					t.Fatalf("%s seed %d workers=%d: no iterator seeks recorded: %+v", name, seed, workers, js)
+				if st.Seeks == 0 {
+					t.Fatalf("%s seed %d workers=%d: no iterator seeks recorded: %+v", name, seed, workers, st)
 				}
 			}
 		}
 	}
+	assertRan(t, js, map[string]uint64{
+		"frame joins": js.FrameJoins, "batch joins": js.BatchJoins,
+		"leapfrog merges": js.TriejoinPasses, "probes": js.ProbePasses, "scans": js.ScanPasses,
+	})
 }

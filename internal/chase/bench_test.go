@@ -82,9 +82,11 @@ func BenchmarkExtractProof(b *testing.B) {
 }
 
 // BenchmarkJoinControlChain runs the full recursive company-control chase
-// over a 50-hop ownership chain under both join engines. The compiled
-// sub-benchmark drives slot-plan executors; Legacy interprets the same rules
-// with map-based substitutions.
+// over a 50-hop ownership chain on the engine as shipped (Compiled) and on
+// its two references: the interpreter that joins the same rules with
+// map-based substitutions (Legacy), and naive evaluation, which re-joins
+// every rule against the whole store every round (Naive) — the semi-naive
+// ablation DESIGN.md calls out.
 func BenchmarkJoinControlChain(b *testing.B) {
 	prog, err := parser.Parse(`
 @output("Control").
@@ -97,15 +99,16 @@ func BenchmarkJoinControlChain(b *testing.B) {
 	facts := benchChainFacts(50)
 	for _, mode := range []struct {
 		name string
-		opts Options
+		tn   tuning
 	}{
-		{"Compiled", Options{ExtraFacts: facts}},
-		{"Legacy", Options{ExtraFacts: facts, Legacy: true}},
+		{"Compiled", defaultTuning},
+		{"Legacy", legacyRef},
+		{"Naive", naiveRef},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(prog, mode.opts)
+				res, err := runTuned(mode.tn, prog, Options{ExtraFacts: facts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,7 +136,7 @@ func BenchmarkTwoHopEmission(b *testing.B) {
 		b.Fatal(err)
 	}
 	facts := denseOwnership(8, 40, 8, 1)
-	res, err := Run(prog, Options{Batch: true, ExtraFacts: facts})
+	res, err := runTuned(batchOnly, prog, Options{ExtraFacts: facts})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func BenchmarkTwoHopEmission(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(prog, Options{Batch: true, ExtraFacts: facts}); err != nil {
+			if _, err := runTuned(batchOnly, prog, Options{ExtraFacts: facts}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -159,7 +162,7 @@ func BenchmarkTwoHopEmission(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(prog, Options{Batch: true, ExtraFacts: warmFacts}); err != nil {
+			if _, err := runTuned(batchOnly, prog, Options{ExtraFacts: warmFacts}); err != nil {
 				b.Fatal(err)
 			}
 		}

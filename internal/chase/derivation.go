@@ -15,36 +15,45 @@
 //
 // # Evaluation strategies and concurrency contract
 //
-// Evaluation is semi-naive by default (Options.Naive selects the naive
-// ablation). Body joins run on compiled slot-based plans: each rule is
-// compiled once into join plans over the store's interned value ids, and
-// a depth-first executor drives a flat binding frame through them,
-// converting to a term.Substitution only at the emission boundary (see
-// plan.go for the compilation scheme and the equivalence argument).
-// Options.Legacy selects the map-interpreting engine instead; results
-// are byte-identical either way, so it exists as the differential and
-// benchmarking baseline.
+// Evaluation is semi-naive: after its first evaluation a rule only joins
+// homomorphisms that use a fact derived since. Body joins run on compiled
+// slot-based plans: each rule is compiled once into join plans over the
+// store's interned value ids (see plan.go for the compilation scheme and
+// the equivalence argument), and one executor runs them with adaptive
+// strategies, chosen per rule evaluation from the size of the join's input:
 //
-// Options.Batch replaces the tuple-at-a-time frame executor with a
-// batch-at-a-time columnar executor built on the store's sorted columnar
-// indexes (database.Columnar): each rule evaluation admits an entire
-// delta's worth of tuples into column vectors, runs every join depth,
-// condition, assignment and negation check over whole columns, and
-// converts to Substitutions only for the tuples that survive to
-// emission. The batch executor is byte-identical to the frame executor
-// — same facts, ids, step order, premises and substitutions — because
-// both enumerate candidates in ascending fact-id order and the columnar
-// index's runs are sorted by (value, dense position) with dense position
-// equal to bucket rank (see batch.go for the full determinism contract).
-// Batch requires compiled plans, so it is mutually exclusive with
-// Options.Legacy.
+//   - Below the measured cut-over (batchMinExtent facts in the largest
+//     body predicate, batch.go), and for any semi-naive delta of a handful
+//     of facts, a depth-first walk drives a flat binding frame through the
+//     plan tuple-at-a-time, probing the store's hash indexes (the frame
+//     executor, plan.go). It needs no index beyond the store's own, so it
+//     wins on session-sized stores and point updates.
+//   - From the cut-over up, a batch-at-a-time pass admits the whole delta
+//     into column vectors over the store's sorted columnar indexes
+//     (database.Columnar) and runs every join depth, condition, assignment
+//     and negation check over whole columns (the batch executor, batch.go),
+//     per depth as a scan, a per-tuple run probe, or — from mergeThreshold
+//     tuples — a leapfrog merge; a pivot whose own delta is under
+//     frameFallbackMin facts falls back to the frame walk.
+//
+// Every strategy enumerates the same homomorphisms in the same order — both
+// executors visit candidates in ascending fact-id order, and the columnar
+// runs are sorted by (value, dense position) with dense position equal to
+// bucket rank (see batch.go for the full determinism contract) — so facts,
+// ids, step order, premises and substitutions are byte-identical whichever
+// is chosen, and Substitutions are materialized only at the emission
+// boundary. Result.JoinStats reports the choices made. The differential
+// suites pin each strategy in turn and compare it against two reference
+// implementations kept for that purpose only: a sequential interpreter that
+// joins with map-based substitutions, and naive evaluation, which re-joins
+// every rule against the whole store every round.
 //
 // Optionally the join phase is parallel: Options.Workers > 1 fans the
 // read-only join phase of each rule evaluation out over a worker pool
 // while keeping the emission phase single-threaded, so results are
 // byte-for-byte identical to the sequential engine at any worker count
-// (see parallel.go for the determinism argument). The compiled path
-// keeps the join phase free of dictionary writes — assignment results
+// (see parallel.go for the determinism argument). The executor keeps
+// the join phase free of dictionary writes — assignment results
 // live in value slots, never interned mid-join — so workers share the
 // immutable plan and only read the store, the superseded set, and the
 // interner.
@@ -162,13 +171,19 @@ type Result struct {
 	// the fact-ingestion phase (interning the program's and the options'
 	// extra facts into the store) and the evaluation phase (plan
 	// compilation, stratification, the chase to fixpoint, and constraint
-	// checking). Pure observability: the engine-differential suites
-	// compare results field by field and deliberately ignore these. The
-	// engine benchmark (`cmd/bench -fig columnar`) reads EvalSeconds so
-	// executor comparisons are not diluted by ingestion, which runs
-	// identical code under every executor.
+	// checking). Pure observability: the differential suites compare
+	// results field by field and deliberately ignore these. The join
+	// benchmark (`cmd/bench -fig columnar`) reads EvalSeconds so its rows
+	// are not diluted by ingestion.
 	LoadSeconds float64
 	EvalSeconds float64
+	// JoinStats says which join strategies served this fixpoint: rule
+	// evaluations given to the frame and to the batch executor, the batch
+	// executor's leapfrog/probe/scan passes and per-pivot frame fallbacks,
+	// and the columnar index builds they paid for — counted on the store
+	// since the run (or restore) that created it, up to this snapshot.
+	// Observability like the two fields above; never compared.
+	JoinStats database.ColumnarStats
 
 	// memoOnce guards the one-time construction of the proof-closure memo;
 	// memo is immutable once built (see memo.go). Both are internal to

@@ -25,36 +25,13 @@ type Options struct {
 	MaxFacts int
 	// ExtraFacts are added to the program's embedded facts before running.
 	ExtraFacts []ast.Atom
-	// Naive disables semi-naive evaluation: every round re-joins every
-	// rule against the whole store instead of requiring at least one fact
-	// derived since the rule's previous evaluation. Exposed for the
-	// ablation benchmark; results are identical either way.
-	Naive bool
-	// Workers sets the size of the worker pool used for the join phase of
-	// each rule evaluation. 0 (and 1) select the sequential engine,
-	// preserving its exact behavior; a negative value selects
+	// Workers is the core budget for the join phase of each rule
+	// evaluation. 0 (and 1) evaluate sequentially; a negative value selects
 	// runtime.GOMAXPROCS(0). Parallel evaluation is deterministic: the
 	// fact ids, chase steps, provenance edges, and aggregation
 	// contributions are byte-for-byte identical to the sequential engine
 	// at any worker count (see parallel.go for the argument).
 	Workers int
-	// Legacy selects the pre-compilation join engine that interprets rules
-	// per match with map-based substitutions, instead of the default
-	// compiled slot-plan executor (plan.go). Results are byte-identical
-	// either way — the differential suite in plan_test.go enforces it —
-	// so Legacy exists only as the differential-testing and benchmarking
-	// baseline.
-	Legacy bool
-	// Batch selects the batch-at-a-time columnar join executor (batch.go):
-	// each rule evaluation processes its entire semi-naive delta in one
-	// vectorized pass over per-predicate sorted columnar indexes
-	// (database.Columnar) instead of one depth-first walk per tuple.
-	// Results are byte-identical to the default frame executor at any
-	// worker count — the differential and fuzz suites enforce it — so,
-	// like Workers and Legacy, Batch does not participate in result cache
-	// fingerprints. Mutually exclusive with Legacy (the legacy engine
-	// predates compiled plans, which the batch executor builds on).
-	Batch bool
 }
 
 const (
@@ -93,6 +70,36 @@ func MustRun(p *ast.Program, opts Options) *Result {
 	return r
 }
 
+// tuning holds the thresholds by which the engine picks a join strategy per
+// rule evaluation, plus the two reference switches of the differential
+// suites. Every strategy yields the same bytes, so the thresholds only move
+// wall time; batch.go documents each next to the measurements that set it.
+type tuning struct {
+	// batchMinExtent, frameFallbackMin and mergeThreshold default to the
+	// constants of the same name in batch.go.
+	batchMinExtent   int
+	frameFallbackMin int
+	mergeThreshold   int
+	// legacy joins with the sequential map-based interpreter instead of
+	// compiled plans, and naive re-joins every rule against the whole store
+	// every round: the reference implementations the compiled executor and
+	// semi-naive evaluation are differentially tested against.
+	legacy bool
+	naive  bool
+}
+
+var defaultTuning = tuning{
+	batchMinExtent:   batchMinExtent,
+	frameFallbackMin: frameFallbackMin,
+	mergeThreshold:   mergeThreshold,
+}
+
+// testTuning, when non-nil, replaces defaultTuning in every engine built
+// while it is set. Only this package's _test.go files assign it: it is how
+// the differential suites reach the reference implementations and force
+// each join strategy.
+var testTuning *tuning
+
 type engine struct {
 	prog       *ast.Program
 	store      *database.Store
@@ -122,19 +129,18 @@ type engine struct {
 	// new contributor arrived. Nil outside incremental updates.
 	dirtyGroups map[*ast.Rule]map[string]bool
 	// plans caches the compiled slot-plan of each rule (and of constraint
-	// pseudo-rules); unused in legacy mode.
+	// pseudo-rules).
 	plans    map[*ast.Rule]*plan
 	nullSeq  int
 	maxFacts int
-	naive    bool
-	// legacy selects the map-based join interpreter over the compiled
-	// slot-plan executor.
-	legacy bool
-	// batch selects the batch-at-a-time columnar executor (batch.go) over
-	// the tuple-at-a-time frame executor; implies !legacy.
-	batch bool
+	// tune holds the join-strategy thresholds (defaultTuning outside tests).
+	tune tuning
 	// workers is the join-phase worker-pool size; <= 1 means sequential.
 	workers int
+	// frameJoins and batchJoins count the executor choices made since the
+	// last Snapshot, which folds them into the store's join stats: the frame
+	// path every small session runs stays free of shared counters.
+	frameJoins, batchJoins uint64
 	// keyBuf is the reusable scratch buffer for aggregation group and
 	// contributor-identity keys (single-threaded accumulation phase only).
 	keyBuf []byte
@@ -237,63 +243,100 @@ func (e *engine) bindingSub(r *ast.Rule, b binding) term.Substitution {
 // semi-naive evaluation; nil admits every fact.
 type atomFilter func(atomIdx int, id database.FactID) bool
 
-// joinBody enumerates all homomorphisms from the rule body into the current
-// store, skipping superseded facts. Assignments are evaluated inline and
-// conditions that are fully bound are checked; conditions mentioning the
-// aggregation target are deferred (returned separately).
-func (e *engine) joinBody(r *ast.Rule) ([]binding, error) {
-	if !e.legacy {
-		p, err := e.planFor(r)
-		if err != nil {
-			return nil, err
-		}
-		if e.batch {
-			return e.joinBatchBody(p)
-		}
-		if e.workers > 1 {
-			return e.joinPlanBodyParallel(p)
-		}
-		return e.joinPlanBody(p)
-	}
-	if e.workers > 1 {
-		return e.joinBodyParallel(r)
-	}
-	pending, err := e.joinAtoms(r, nil, nil)
-	if err != nil || pending == nil {
-		return nil, err
-	}
-	return e.finishBindings(r, pending)
+// joinUnit is one canonical-order slice of a join's output: leaf columns
+// from a batch pass, or materialized bindings from the frame executor (a
+// whole frame join, a frame-fallback pivot of a batch join, or a batch pass
+// whose caller asked for bindings).
+type joinUnit struct {
+	cols  *batchCols
+	binds []binding
 }
 
-// joinBodySemiNaive enumerates only the homomorphisms that use at least one
-// fact with id >= boundary (a fact derived since the rule's previous
-// evaluation), via the standard pivot decomposition: for pivot i, atoms
-// before i match old facts, atom i matches new facts, atoms after i match
-// anything. The decomposition is disjoint, so no duplicates arise.
-func (e *engine) joinBodySemiNaive(r *ast.Rule, boundary database.FactID) ([]binding, error) {
-	if !e.legacy {
-		p, err := e.planFor(r)
-		if err != nil {
+// joinUnits enumerates the homomorphisms from the rule body into the current
+// store, skipping superseded facts: all of them, or (semi) only those using
+// at least one fact with id >= boundary — a fact derived since the rule's
+// previous evaluation — via the standard pivot decomposition: for pivot i,
+// atoms before i match old facts, atom i matches new facts, atoms after i
+// match anything. The decomposition is disjoint, so no duplicates arise.
+// Assignments and fully bound conditions are evaluated inline; conditions
+// mentioning the aggregation target are left to the caller.
+//
+// This is where the engine picks the executor for one rule evaluation
+// (chooseBatch); the units concatenate to the same homomorphisms in the same
+// order either way. Batch passes of rules with a compiled head layout hand
+// their leaf columns to the vectorized emission path unless wantBindings.
+func (e *engine) joinUnits(r *ast.Rule, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
+	var binds []binding
+	var err error
+	if e.tune.legacy {
+		binds, err = e.joinLegacy(r, semi, boundary)
+	} else {
+		var p *plan
+		if p, err = e.planFor(r); err != nil {
 			return nil, err
 		}
-		if e.batch {
-			return e.joinBatchSemiNaive(p, boundary)
+		if e.chooseBatch(p, semi, boundary) {
+			e.batchJoins++
+			return e.joinBatchUnits(p, semi, boundary, wantBindings || p.head == nil)
 		}
+		e.frameJoins++
 		if e.workers > 1 {
-			return e.joinPlanSemiNaiveParallel(p, boundary)
+			binds, err = e.joinFrameParallel(p, semi, boundary)
+		} else {
+			binds, err = e.joinFrame(p, semi, boundary)
 		}
-		return e.joinPlanSemiNaive(p, boundary)
 	}
-	if e.workers > 1 {
-		return e.joinBodySemiNaiveParallel(r, boundary)
+	if err != nil || len(binds) == 0 {
+		return nil, err
+	}
+	return []joinUnit{{binds: binds}}, nil
+}
+
+// chooseBatch decides whether one rule evaluation runs on the batch executor
+// (batch.go) or the frame executor (plan.go), from the size of the join's
+// input. A semi-naive delta under frameFallbackMin facts leaves every pivot
+// under the batch executor's own per-pivot fallback, so it goes to the frame
+// executor directly and the columnar indexes are not even refreshed;
+// otherwise the largest body predicate is weighed against batchMinExtent.
+func (e *engine) chooseBatch(p *plan, semi bool, boundary database.FactID) bool {
+	if semi && e.store.Len()-int(boundary) < e.tune.frameFallbackMin {
+		return false
+	}
+	for _, a := range p.rule.Body {
+		if len(e.store.ByPredicate(a.Predicate)) >= e.tune.batchMinExtent {
+			return true
+		}
+	}
+	return false
+}
+
+// joinBindings is joinUnits flattened into the []binding shape the
+// aggregation and constraint paths consume.
+func (e *engine) joinBindings(r *ast.Rule, semi bool, boundary database.FactID) ([]binding, error) {
+	units, err := e.joinUnits(r, semi, boundary, true)
+	if err != nil || len(units) == 0 {
+		return nil, err
+	}
+	if len(units) == 1 {
+		return units[0].binds, nil
 	}
 	var all []binding
-	for pivot := range r.Body {
-		pending, err := e.joinAtoms(r, pivotOrder(r, pivot), pivotFilter(pivot, boundary))
-		if err != nil {
-			return nil, err
+	for _, u := range units {
+		all = append(all, u.binds...)
+	}
+	return all, nil
+}
+
+// joinLegacy is the reference join: the sequential map-based interpreter the
+// compiled executors are differentially tested against (tuning.legacy).
+func (e *engine) joinLegacy(r *ast.Rule, semi bool, boundary database.FactID) ([]binding, error) {
+	var all []binding
+	if !semi {
+		all = e.joinAtoms(r, nil, nil)
+	} else {
+		for pivot := range r.Body {
+			all = append(all, e.joinAtoms(r, pivotOrder(r, pivot), pivotFilter(pivot, boundary))...)
 		}
-		all = append(all, pending...)
 	}
 	if len(all) == 0 {
 		return nil, nil
@@ -335,7 +378,7 @@ func pivotOrder(r *ast.Rule, pivot int) []int {
 // evaluation order (nil means body order) under an optional per-atom fact
 // filter. The premise facts of each binding are reported in body-atom
 // order regardless of the evaluation order.
-func (e *engine) joinAtoms(r *ast.Rule, order []int, allow atomFilter) ([]binding, error) {
+func (e *engine) joinAtoms(r *ast.Rule, order []int, allow atomFilter) []binding {
 	n := len(r.Body)
 	if order == nil {
 		order = make([]int, n)
@@ -348,10 +391,10 @@ func (e *engine) joinAtoms(r *ast.Rule, order []int, allow atomFilter) ([]bindin
 	for _, atomIdx := range order {
 		pending = e.extendAtom(r, pending, atomIdx, allow)
 		if len(pending) == 0 {
-			return nil, nil
+			return nil
 		}
 	}
-	return pending, nil
+	return pending
 }
 
 // extendAtom extends every pending binding with every admissible match of
@@ -453,7 +496,7 @@ func (e *engine) checkConstraints() error {
 			Negated:    c.Negated,
 			Conditions: c.Conditions,
 		}
-		bindings, err := e.joinBody(pseudo)
+		bindings, err := e.joinBindings(pseudo, false, 0)
 		if err != nil {
 			return fmt.Errorf("chase: constraint %s: %w", c.Label, err)
 		}
@@ -483,87 +526,17 @@ func mentions(c ast.Condition, v string) bool {
 // applyPlainRule fires a non-aggregation rule on every body homomorphism.
 // After its first evaluation, semi-naive mode only considers homomorphisms
 // involving at least one fact derived since the rule's previous evaluation.
+// Join units that stayed columnar feed the vectorized emission path
+// (emitCols); bindings emit one by one. Both record the same facts, steps
+// and provenance in the same order.
 func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
-	if e.batch && !e.legacy {
-		p, err := e.planFor(r)
-		if err != nil {
-			return false, err
-		}
-		if p.head != nil {
-			return e.applyPlainRuleCols(r, p)
-		}
-	}
 	prev, seen := e.lastSeen[r]
 	e.lastSeen[r] = e.store.Len()
-	var bindings []binding
-	var err error
-	switch {
-	case e.naive || !seen || prev == 0:
-		bindings, err = e.joinBody(r)
-	case e.store.Len() == prev:
+	full := e.tune.naive || !seen || prev == 0
+	if !full && e.store.Len() == prev {
 		return false, nil // no new facts since the previous evaluation
-	default:
-		bindings, err = e.joinBodySemiNaive(r, database.FactID(prev))
 	}
-	if err != nil {
-		// Roll the semi-naive boundary back so the interrupted evaluation
-		// (e.g. a cancellation at a chunk boundary) is not recorded as done;
-		// the join emitted nothing, so this restores the pre-call state.
-		if seen {
-			e.lastSeen[r] = prev
-		} else {
-			delete(e.lastSeen, r)
-		}
-		return false, err
-	}
-	changed := false
-	for _, b := range bindings {
-		bsub := e.bindingSub(r, b)
-		// Restricted chase: when the head has existential variables, the
-		// step is pre-empted if some existing fact already satisfies the
-		// head pattern under the current bindings (existential positions
-		// act as wildcards). Without this check the rule would invent a
-		// fresh null every round and never reach a fixpoint. MatchAny
-		// stops at the first witness instead of materializing the full
-		// match list.
-		if hasExistential(r, bsub) {
-			pattern := r.Head.Apply(bsub)
-			if e.store.MatchAny(pattern) {
-				continue
-			}
-		}
-		head, sub, err := e.instantiateHead(r, bsub)
-		if err != nil {
-			return false, err
-		}
-		added, err := e.emit(r, head, b.facts, nil, sub)
-		if err != nil {
-			return false, err
-		}
-		changed = changed || added
-	}
-	return changed, nil
-}
-
-// applyPlainRuleCols is applyPlainRule on the batch engine for rules with a
-// compiled head layout (non-existential, non-aggregating): join units stay
-// columnar and feed the vectorized emission path, so no Substitution, atom,
-// or per-row key string is built for rows that turn out to be duplicates.
-// Semi-naive bookkeeping, error rollback, emission order, and every
-// observable store/provenance effect mirror applyPlainRule exactly.
-func (e *engine) applyPlainRuleCols(r *ast.Rule, p *plan) (bool, error) {
-	prev, seen := e.lastSeen[r]
-	e.lastSeen[r] = e.store.Len()
-	var units []batchUnit
-	var err error
-	switch {
-	case e.naive || !seen || prev == 0:
-		units, err = e.joinBatchUnits(p, false, 0, false)
-	case e.store.Len() == prev:
-		return false, nil // no new facts since the previous evaluation
-	default:
-		units, err = e.joinBatchUnits(p, true, database.FactID(prev), false)
-	}
+	units, err := e.joinUnits(r, !full, database.FactID(prev), false)
 	if err != nil {
 		// Roll the semi-naive boundary back so the interrupted evaluation
 		// (e.g. a cancellation at a chunk boundary) is not recorded as done;
@@ -578,18 +551,28 @@ func (e *engine) applyPlainRuleCols(r *ast.Rule, p *plan) (bool, error) {
 	changed := false
 	for _, u := range units {
 		if u.cols != nil {
-			c, err := e.emitCols(r, p, u.cols)
+			c, err := e.emitCols(r, e.plans[r], u.cols)
 			if err != nil {
 				return false, err
 			}
 			changed = changed || c
 			continue
 		}
-		// Frame-fallback units emit per binding, the classic path. The head
-		// has no existential variables (p.head != nil), so the restricted-
-		// chase pre-emption never applies.
 		for _, b := range u.binds {
 			bsub := e.bindingSub(r, b)
+			// Restricted chase: when the head has existential variables, the
+			// step is pre-empted if some existing fact already satisfies the
+			// head pattern under the current bindings (existential positions
+			// act as wildcards). Without this check the rule would invent a
+			// fresh null every round and never reach a fixpoint. MatchAny
+			// stops at the first witness instead of materializing the full
+			// match list.
+			if hasExistential(r, bsub) {
+				pattern := r.Head.Apply(bsub)
+				if e.store.MatchAny(pattern) {
+					continue
+				}
+			}
 			head, sub, err := e.instantiateHead(r, bsub)
 			if err != nil {
 				return false, err
@@ -622,7 +605,8 @@ func (e *engine) idKey(id term.ValueID) []byte {
 	return e.keyByID[id]
 }
 
-// emitCols is the vectorized emission path: it walks canonical leaf columns
+// emitCols is the vectorized emission path for rules with a compiled head
+// layout (non-existential, non-aggregating): it walks canonical leaf columns
 // row by row, builds each head atom's canonical key into a reusable buffer
 // from cached per-value key bytes, and skips duplicates with a single
 // allocation-free map read (Store.LookupKey) — emit's Add would return
@@ -723,7 +707,7 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 	// the previous evaluation (a stored contributor may have gone stale).
 	prev, seen := e.lastSeen[r]
 	e.lastSeen[r] = e.store.Len()
-	full := e.naive || !seen || prev == 0
+	full := e.tune.naive || !seen || prev == 0
 	prevSuper := e.lastSuper[r]
 	superMoved := prevSuper != e.supersessions
 	e.lastSuper[r] = e.supersessions
@@ -738,9 +722,9 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 	if full {
 		e.aggGroups[r] = map[string]*aggGroup{}
 		e.aggOrder[r] = nil
-		bindings, err = e.joinBody(r)
+		bindings, err = e.joinBindings(r, false, 0)
 	} else if e.store.Len() > prev {
-		bindings, err = e.joinBodySemiNaive(r, database.FactID(prev))
+		bindings, err = e.joinBindings(r, true, database.FactID(prev))
 	}
 	if err != nil {
 		// Restore the evaluation bookkeeping consumed above so an

@@ -74,39 +74,7 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("chase: invalid program: %w", err)
 	}
-	if opts.Batch && opts.Legacy {
-		return nil, fmt.Errorf("chase: options Batch and Legacy are mutually exclusive")
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	maxFacts := opts.MaxFacts
-	if maxFacts <= 0 {
-		maxFacts = defaultMaxFacts
-	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	e := &engine{
-		prog:       p,
-		store:      database.NewStore(),
-		derivs:     map[database.FactID][]*Derivation{},
-		superseded: map[database.FactID]bool{},
-		aggState:   map[string]aggEmission{},
-		lastSeen:   map[*ast.Rule]int{},
-		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
-		aggOrder:   map[*ast.Rule][]string{},
-		lastSuper:  map[*ast.Rule]int{},
-		plans:      map[*ast.Rule]*plan{},
-		maxFacts:   maxFacts,
-		naive:      opts.Naive,
-		legacy:     opts.Legacy,
-		batch:      opts.Batch,
-		workers:    workers,
-	}
+	e := newEngine(p, opts)
 	loadStart := time.Now()
 	for _, f := range p.Facts {
 		if _, _, err := e.store.Add(f, true); err != nil {
@@ -123,44 +91,11 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 	}
 	evalStart := time.Now()
 
-	// Compile every rule into its slot-based join plans up front (the
-	// legacy engine interprets rules directly and needs none). Constants
-	// are interned into the store's dictionary here, before any join runs.
-	if !e.legacy {
-		for _, r := range p.Rules {
-			if _, err := e.planFor(r); err != nil {
-				return nil, fmt.Errorf("chase: rule %s: %w", r.Label, err)
-			}
-		}
-	}
-
-	// Stratify: rules are evaluated stratum by stratum so that negated
-	// predicates are fully saturated before any rule reads them.
-	strata, err := depgraph.New(p).Stratify()
+	l, err := e.live(opts)
 	if err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
-	maxStratum := 0
-	for _, s := range strata {
-		if s > maxStratum {
-			maxStratum = s
-		}
-	}
-
 	e.ctx = ctx
-	l := &Live{
-		e:          e,
-		strata:     strata,
-		maxStratum: maxStratum,
-		maxRounds:  maxRounds,
-		existRules: existentialRules(p),
-	}
-	for _, r := range p.Rules {
-		if len(r.Negated) > 0 {
-			l.hasNeg = true
-			break
-		}
-	}
 
 	rounds, err := l.Saturate(nil)
 	if err != nil {
@@ -176,6 +111,82 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 	l.loadSeconds = evalStart.Sub(loadStart).Seconds()
 	l.evalSeconds = now.Sub(evalStart).Seconds()
 	e.ctx = nil // detach: later maintenance installs its own context
+	return l, nil
+}
+
+// newEngine builds an engine over an empty store with the limits of opts
+// defaulted. RunLiveContext fills the store from the program and
+// RestoreLive from a snapshot; both then wrap the engine with live.
+func newEngine(p *ast.Program, opts Options) *engine {
+	maxFacts := opts.MaxFacts
+	if maxFacts <= 0 {
+		maxFacts = defaultMaxFacts
+	}
+	workers := opts.Workers
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	tune := defaultTuning
+	if testTuning != nil {
+		tune = *testTuning
+	}
+	return &engine{
+		prog:       p,
+		store:      database.NewStore(),
+		derivs:     map[database.FactID][]*Derivation{},
+		superseded: map[database.FactID]bool{},
+		aggState:   map[string]aggEmission{},
+		lastSeen:   map[*ast.Rule]int{},
+		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
+		aggOrder:   map[*ast.Rule][]string{},
+		lastSuper:  map[*ast.Rule]int{},
+		plans:      map[*ast.Rule]*plan{},
+		maxFacts:   maxFacts,
+		tune:       tune,
+		workers:    workers,
+	}
+}
+
+// live compiles every rule into its slot-based join plans and derives the
+// program's evaluation sets (strata, existential rules, negation), wrapping
+// the engine in a Live. It runs once the store holds its initial facts, so
+// plan constants are interned after them — on a restore the dictionary
+// already holds every constant and no new id is assigned.
+func (e *engine) live(opts Options) (*Live, error) {
+	p := e.prog
+	if !e.tune.legacy { // the reference interpreter reads rules directly
+		for _, r := range p.Rules {
+			if _, err := e.planFor(r); err != nil {
+				return nil, fmt.Errorf("rule %s: %w", r.Label, err)
+			}
+		}
+	}
+	// Stratify: rules are evaluated stratum by stratum so that negated
+	// predicates are fully saturated before any rule reads them.
+	strata, err := depgraph.New(p).Stratify()
+	if err != nil {
+		return nil, err
+	}
+	l := &Live{
+		e:          e,
+		strata:     strata,
+		maxRounds:  opts.MaxRounds,
+		existRules: existentialRules(p),
+	}
+	if l.maxRounds <= 0 {
+		l.maxRounds = defaultMaxRounds
+	}
+	for _, s := range strata {
+		if s > l.maxStratum {
+			l.maxStratum = s
+		}
+	}
+	for _, r := range p.Rules {
+		if len(r.Negated) > 0 {
+			l.hasNeg = true
+			break
+		}
+	}
 	return l, nil
 }
 
@@ -227,6 +238,10 @@ func existentialRules(p *ast.Program) []*ast.Rule {
 // memo, so proofs extracted from it reflect exactly this fixpoint.
 func (l *Live) Snapshot() *Result {
 	e := l.e
+	if e.frameJoins != 0 || e.batchJoins != 0 {
+		e.store.AddJoinStats(database.ColumnarStats{FrameJoins: e.frameJoins, BatchJoins: e.batchJoins})
+		e.frameJoins, e.batchJoins = 0, 0
+	}
 	derivs := make(map[database.FactID][]*Derivation, len(e.derivs))
 	for k, v := range e.derivs {
 		derivs[k] = v
@@ -244,6 +259,7 @@ func (l *Live) Snapshot() *Result {
 		Rounds:      l.rounds,
 		LoadSeconds: l.loadSeconds,
 		EvalSeconds: l.evalSeconds,
+		JoinStats:   e.store.ColumnarStats(),
 	}
 }
 

@@ -50,7 +50,10 @@ func TestNegationStratumOrder(t *testing.T) {
 	}
 	// Both strategies agree.
 	prog := parser.MustParse(eligibleSrc)
-	naive := MustRun(prog, Options{Naive: true})
+	naive, err := runTuned(naiveRef, prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	semi := MustRun(prog, Options{})
 	if !sameFactSet(naive, semi) {
 		t.Error("naive and semi-naive disagree under negation")

@@ -13,8 +13,8 @@ package chase
 // canonical (pivot index, chunk index) order before the unchanged emission
 // loop applies them.
 //
-// Determinism argument. The sequential join is a breadth-first expansion
-// whose output is ordered lexicographically by the per-atom match choices;
+// Determinism argument. The sequential join is a depth-first walk whose
+// output is ordered lexicographically by the per-atom match choices;
 // extending a contiguous slice of seeds yields exactly the lexicographic
 // block of bindings whose first choice lies in that slice. Concatenating
 // the blocks in seed order therefore reproduces the sequential binding
@@ -39,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/term"
 )
@@ -48,112 +47,6 @@ import (
 // of uneven cost (a seed whose extension fans out dominates its chunk).
 const chunksPerWorker = 4
 
-// joinTask is one unit of parallel join work: a contiguous slice of seed
-// bindings to be extended through the remaining body atoms and finished
-// (assignments, conditions, negation). Tasks are created in canonical
-// order; out buffers are merged by task index.
-type joinTask struct {
-	seeds []binding
-	rest  []int
-	allow atomFilter
-	out   []binding
-}
-
-// joinBodyParallel is joinBody with the extension phase fanned out over the
-// worker pool. The first body atom is matched sequentially (one indexed
-// scan) to fix the seed order; the seeds are then chunked and extended
-// concurrently.
-func (e *engine) joinBodyParallel(r *ast.Rule) ([]binding, error) {
-	n := len(r.Body)
-	initial := []binding{{sub: term.Substitution{}, facts: make([]database.FactID, n)}}
-	seeds := e.extendAtom(r, initial, 0, nil)
-	rest := make([]int, 0, n-1)
-	for i := 1; i < n; i++ {
-		rest = append(rest, i)
-	}
-	tasks := appendChunked(nil, seeds, rest, nil, e.workers)
-	return e.runJoinTasks(r, tasks)
-}
-
-// joinBodySemiNaiveParallel evaluates all pivot decompositions of the
-// semi-naive join as one task pool: per pivot, the pivot atom is matched
-// sequentially against the new-fact slice of the store, and the resulting
-// seeds are chunked into tasks. Merging by (pivot, chunk) index reproduces
-// the sequential pivot-by-pivot concatenation exactly.
-func (e *engine) joinBodySemiNaiveParallel(r *ast.Rule, boundary database.FactID) ([]binding, error) {
-	n := len(r.Body)
-	var tasks []*joinTask
-	for pivot := range r.Body {
-		order := pivotOrder(r, pivot)
-		allow := pivotFilter(pivot, boundary)
-		initial := []binding{{sub: term.Substitution{}, facts: make([]database.FactID, n)}}
-		seeds := e.extendAtom(r, initial, pivot, allow)
-		tasks = appendChunked(tasks, seeds, order[1:], allow, e.workers)
-	}
-	return e.runJoinTasks(r, tasks)
-}
-
-// appendChunked splits seeds into up to workers*chunksPerWorker contiguous
-// chunks and appends one task per chunk, preserving seed order across the
-// chunk sequence.
-func appendChunked(tasks []*joinTask, seeds []binding, rest []int, allow atomFilter, workers int) []*joinTask {
-	if len(seeds) == 0 {
-		return tasks
-	}
-	chunks := workers * chunksPerWorker
-	if chunks > len(seeds) {
-		chunks = len(seeds)
-	}
-	for c := 0; c < chunks; c++ {
-		lo := c * len(seeds) / chunks
-		hi := (c + 1) * len(seeds) / chunks
-		tasks = append(tasks, &joinTask{seeds: seeds[lo:hi], rest: rest, allow: allow})
-	}
-	return tasks
-}
-
-// runJoinTasks extends and finishes every task on the worker pool, then
-// merges the candidate buffers in task order. The store is frozen for the
-// duration so that any write during the concurrent phase fails loudly
-// instead of racing.
-func (e *engine) runJoinTasks(r *ast.Rule, tasks []*joinTask) ([]binding, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-	e.store.Freeze()
-	err := runParallel(e.workers, len(tasks), func(i int) error {
-		if err := e.checkCtx(); err != nil {
-			return err
-		}
-		t := tasks[i]
-		pending := t.seeds
-		for _, atomIdx := range t.rest {
-			pending = e.extendAtom(r, pending, atomIdx, t.allow)
-			if len(pending) == 0 {
-				return nil
-			}
-		}
-		done, err := e.finishBindings(r, pending)
-		if err != nil {
-			return err
-		}
-		t.out = done
-		return nil
-	})
-	e.store.Thaw()
-	if err != nil {
-		return nil, err
-	}
-	var all []binding
-	for _, t := range tasks {
-		all = append(all, t.out...)
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	return all, nil
-}
-
 // planSeed is one admissible match of the first atom of a compiled order:
 // the binding frame right after that atom bound, plus the matched fact id.
 type planSeed struct {
@@ -161,9 +54,10 @@ type planSeed struct {
 	fact  database.FactID
 }
 
-// planTask is the compiled-engine unit of parallel join work: a contiguous
-// slice of seeds to be driven through the rest of the ordered plan by a
-// per-task executor.
+// planTask is one unit of parallel join work: a contiguous slice of seeds
+// to be driven through the rest of the ordered plan by a per-task executor.
+// Tasks are created in canonical order; out buffers are merged by task
+// index.
 type planTask struct {
 	op    *orderedPlan
 	allow atomFilter
@@ -201,7 +95,7 @@ func (e *engine) planSeeds(p *plan, op *orderedPlan, allow atomFilter) []planSee
 
 // appendPlanChunked splits seeds into up to workers*chunksPerWorker
 // contiguous chunks and appends one task per chunk, preserving seed order
-// across the chunk sequence (the same chunk arithmetic as appendChunked).
+// across the chunk sequence.
 func appendPlanChunked(tasks []*planTask, seeds []planSeed, op *orderedPlan, allow atomFilter, workers int) []*planTask {
 	if len(seeds) == 0 {
 		return tasks
@@ -218,21 +112,19 @@ func appendPlanChunked(tasks []*planTask, seeds []planSeed, op *orderedPlan, all
 	return tasks
 }
 
-// joinPlanBodyParallel is joinPlanBody with the depth-first extension fanned
-// out over the worker pool.
-func (e *engine) joinPlanBodyParallel(p *plan) ([]binding, error) {
-	op := p.orders[0]
-	tasks := appendPlanChunked(nil, e.planSeeds(p, op, nil), op, nil, e.workers)
-	return e.runPlanTasks(p, tasks)
-}
-
-// joinPlanSemiNaiveParallel evaluates all pivot decompositions of the
-// compiled semi-naive join as one task pool; merging by (pivot, chunk) index
-// reproduces the sequential pivot-by-pivot concatenation exactly.
-func (e *engine) joinPlanSemiNaiveParallel(p *plan, boundary database.FactID) ([]binding, error) {
+// joinFrameParallel is joinFrame with the depth-first extension fanned out
+// over the worker pool: the first atom of every pivot order is matched
+// sequentially (one indexed scan) to fix the seed order, the seeds are
+// chunked, and all pivots' chunks run as one task pool. Merging by (pivot,
+// chunk) index reproduces the sequential pivot-by-pivot concatenation
+// exactly.
+func (e *engine) joinFrameParallel(p *plan, semi bool, boundary database.FactID) ([]binding, error) {
+	if !semi {
+		op := p.orders[0]
+		return e.runPlanTasks(p, appendPlanChunked(nil, e.planSeeds(p, op, nil), op, nil, e.workers))
+	}
 	var tasks []*planTask
-	for pivot := range p.orders {
-		op := p.orders[pivot]
+	for pivot, op := range p.orders {
 		allow := pivotFilter(pivot, boundary)
 		tasks = appendPlanChunked(tasks, e.planSeeds(p, op, allow), op, allow, e.workers)
 	}
@@ -241,10 +133,11 @@ func (e *engine) joinPlanSemiNaiveParallel(p *plan, boundary database.FactID) ([
 
 // runPlanTasks drives every task's seeds through a per-task executor on the
 // worker pool (the plan itself is immutable and shared), then merges the out
-// buffers in task order under the same Freeze/Thaw discipline as
-// runJoinTasks. Workers only read the store, the superseded set, and the
-// interner — assignment results live in value slots and are never interned
-// during the join, so no worker ever writes shared state.
+// buffers in task order. The store is frozen for the duration so that any
+// write during the concurrent phase fails loudly instead of racing. Workers
+// only read the store, the superseded set, and the interner — assignment
+// results live in value slots and are never interned during the join, so no
+// worker ever writes shared state.
 func (e *engine) runPlanTasks(p *plan, tasks []*planTask) ([]binding, error) {
 	if len(tasks) == 0 {
 		return nil, nil

@@ -83,12 +83,12 @@ func TestParallelEquivalenceFixedPrograms(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, naive := range []bool{false, true} {
-			seq, err := Run(prog, Options{Naive: naive})
+			seq, err := runTuned(defaultTuning.withNaive(naive), prog, Options{})
 			if err != nil {
 				t.Fatalf("%s sequential: %v", name, err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := Run(prog, Options{Naive: naive, Workers: workers})
+				par, err := runTuned(defaultTuning.withNaive(naive), prog, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}

@@ -692,22 +692,18 @@ func (x *executor) negBlocked(n *planNeg) bool {
 	return false
 }
 
-// joinPlanBody is the compiled-engine full body join (sequential).
-func (e *engine) joinPlanBody(p *plan) ([]binding, error) {
-	x := e.newExecutor(p, p.orders[0], nil)
-	if err := x.extend(0); err != nil {
-		return nil, err
+// joinFrame is the sequential frame-executor join: the full body join, or
+// (semi) the standard pivot decomposition with pivot results concatenated
+// in pivot order.
+func (e *engine) joinFrame(p *plan, semi bool, boundary database.FactID) ([]binding, error) {
+	if !semi {
+		x := e.newExecutor(p, p.orders[0], nil)
+		err := x.extend(0)
+		return x.out, err
 	}
-	return x.out, nil
-}
-
-// joinPlanSemiNaive is the compiled-engine semi-naive join (sequential):
-// the standard pivot decomposition, pivot results concatenated in pivot
-// order exactly like the legacy engine.
-func (e *engine) joinPlanSemiNaive(p *plan, boundary database.FactID) ([]binding, error) {
 	var all []binding
-	for pivot := range p.orders {
-		x := e.newExecutor(p, p.orders[pivot], pivotFilter(pivot, boundary))
+	for pivot, op := range p.orders {
+		x := e.newExecutor(p, op, pivotFilter(pivot, boundary))
 		x.out = all
 		if err := x.extend(0); err != nil {
 			return nil, err

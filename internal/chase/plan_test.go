@@ -45,12 +45,12 @@ func diffEngines(t *testing.T, label, src string) {
 		t.Fatalf("%s: parse: %v", label, err)
 	}
 	for _, naive := range []bool{false, true} {
-		legacy, err := Run(prog, Options{Naive: naive, Legacy: true})
+		legacy, err := runTuned(legacyRef.withNaive(naive), prog, Options{})
 		if err != nil {
 			t.Fatalf("%s naive=%v legacy: %v", label, naive, err)
 		}
 		for _, workers := range []int{0, 4} {
-			compiled, err := Run(prog, Options{Naive: naive, Workers: workers})
+			compiled, err := runTuned(frameOnly.withNaive(naive), prog, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s naive=%v workers=%d compiled: %v", label, naive, workers, err)
 			}
@@ -94,7 +94,7 @@ func TestCompiledLegacyDifferentialRandomOwnership(t *testing.T) {
 	}
 	for seed := int64(0); seed < 24; seed++ {
 		facts := randomOwnership(seed)
-		legacy, err := Run(prog, Options{ExtraFacts: facts, Legacy: true})
+		legacy, err := runTuned(legacyRef, prog, Options{ExtraFacts: facts})
 		if err != nil {
 			t.Fatalf("seed %d legacy: %v", seed, err)
 		}
@@ -159,19 +159,42 @@ P(X) :- Own(X, X, S), Edge(X, Y), S > 0.5.
 	}
 }
 
-// FuzzPlanDifferential fuzzes whole programs through all three engines —
-// legacy, compiled frame, and batch columnar — each crossed with worker
-// counts 0 and 4: any parseable, valid program either fails on every engine
-// or produces a byte-identical result. (Per the documented pushdown caveat,
-// runtime evaluation errors may surface on different homomorphisms, so
-// inputs where either baseline engine errors are skipped rather than
-// compared.)
+// fuzzCutover stands in for batchMinExtent in FuzzPlanDifferential's
+// automatic run: fuzz inputs are a few dozen facts at most, so the engine's
+// own choice is exercised on both sides of a cut-over scaled to them.
+var fuzzCutover = tuned(func(tn *tuning) { tn.batchMinExtent = 8 })
+
+// fuzzBelowCutoverSrc and fuzzAboveCutoverSrc sit one fact either side of
+// fuzzCutover: 7 Own facts in the first, 8 in the second.
+const (
+	fuzzBelowCutoverSrc = `
+@output("Control").
+@label("c1") Control(X, Y) :- Own(X, Y, S), S > 0.5.
+@label("c2") Control(X, Y) :- Control(X, Z), Own(Z, Y, S), S > 0.5.
+Own("A", "B", 0.6). Own("B", "C", 0.7). Own("C", "D", 0.8). Own("D", "E", 0.2).
+Own("E", "F", 0.9). Own("F", "G", 0.55). Own("A", "G", 0.1).
+`
+	fuzzAboveCutoverSrc = fuzzBelowCutoverSrc + `Own("G", "H", 0.75).
+`
+)
+
+// FuzzPlanDifferential fuzzes whole programs through the reference
+// interpreter, the engine's own strategy choice, and every forced strategy
+// of the compiled executors — frame only, and the batch executor pinned to
+// leapfrog merges, to per-tuple probes and to per-pivot frame fallbacks —
+// each crossed with worker counts 0 and 4: any parseable, valid program
+// either fails on every engine or produces a byte-identical result. (Per
+// the documented pushdown caveat, runtime evaluation errors may surface on
+// different homomorphisms, so inputs where either baseline errors are
+// skipped rather than compared.)
 func FuzzPlanDifferential(f *testing.F) {
 	f.Add(stressSimpleSrc)
 	f.Add(irishBankSrc)
 	f.Add(twoChannelSrc)
 	f.Add(eligibleSrc)
 	f.Add(planKitchenSrc)
+	f.Add(fuzzBelowCutoverSrc)
+	f.Add(fuzzAboveCutoverSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<12 {
 			t.Skip("oversized input")
@@ -181,30 +204,26 @@ func FuzzPlanDifferential(f *testing.F) {
 			t.Skip()
 		}
 		bound := Options{MaxRounds: 50, MaxFacts: 2000}
-		legacyOpts := bound
-		legacyOpts.Legacy = true
-		legacy, lerr := Run(prog, legacyOpts)
-		compiled, cerr := Run(prog, bound)
-		if lerr != nil || cerr != nil {
+		legacy, lerr := runTuned(legacyRef, prog, bound)
+		frame, ferr := runTuned(frameOnly, prog, bound)
+		if lerr != nil || ferr != nil {
 			t.Skip()
 		}
-		diffResults(t, "fuzz", legacy, compiled)
-		parallelOpts := bound
-		parallelOpts.Workers = 4
-		par, perr := Run(prog, parallelOpts)
-		if perr != nil {
-			t.Fatalf("compiled sequential succeeded but workers=4 failed: %v", perr)
-		}
-		diffResults(t, "fuzz-parallel", legacy, par)
-		for _, workers := range []int{0, 4} {
-			batchOpts := bound
-			batchOpts.Batch = true
-			batchOpts.Workers = workers
-			batch, berr := Run(prog, batchOpts)
-			if berr != nil {
-				t.Fatalf("frame executor succeeded but batch workers=%d failed: %v", workers, berr)
+		diffResults(t, "fuzz", legacy, frame)
+		variants := append([]struct {
+			name string
+			tn   tuning
+		}{{"frame", frameOnly}, {"auto", fuzzCutover}}, batchTunings...)
+		for _, v := range variants {
+			for _, workers := range []int{0, 4} {
+				opts := bound
+				opts.Workers = workers
+				got, err := runTuned(v.tn, prog, opts)
+				if err != nil {
+					t.Fatalf("frame executor succeeded but %s workers=%d failed: %v", v.name, workers, err)
+				}
+				diffResults(t, fmt.Sprintf("fuzz-%s-%d", v.name, workers), legacy, got)
 			}
-			diffResults(t, fmt.Sprintf("fuzz-batch-%d", workers), legacy, batch)
 		}
 	})
 }

@@ -86,7 +86,7 @@ Own("A", "B", 0.5). Own("B", "C", 0.5). Own("A", "C", 0.1). Own("C", "D", 0.5).
 		if err != nil {
 			t.Fatalf("source %d semi-naive: %v", i, err)
 		}
-		naive, err := Run(prog, Options{Naive: true})
+		naive, err := runTuned(naiveRef, prog, Options{})
 		if err != nil {
 			t.Fatalf("source %d naive: %v", i, err)
 		}
@@ -113,7 +113,7 @@ func TestSemiNaiveEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		facts := randomOwnership(seed)
 		semi, err1 := Run(prog, Options{ExtraFacts: facts})
-		naive, err2 := Run(prog, Options{ExtraFacts: facts, Naive: true})
+		naive, err2 := runTuned(naiveRef, prog, Options{ExtraFacts: facts})
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
@@ -124,12 +124,42 @@ func TestSemiNaiveEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestSemiNaiveEquivalenceAtScale: the two evaluation strategies agree on a
+// 60-hop control chain, where semi-naive evaluation runs sixty rounds of
+// deltas against accumulated aggregation groups.
+func TestSemiNaiveEquivalenceAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale equivalence skipped in -short mode")
+	}
+	prog := parser.MustParse(`
+@output("Control").
+@label("s1") Control(X, Y) :- Own(X, Y, S), S > 0.5.
+@label("s2") Control(X, X) :- Company(X).
+@label("s3") Control(X, Y) :- Control(X, Z), Own(Z, Y, S), TS = sum(S), TS > 0.5.
+`)
+	facts := benchChainFacts(60)
+	semi, err := Run(prog, Options{ExtraFacts: facts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := runTuned(naiveRef, prog, Options{ExtraFacts: facts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFactSet(semi, naive) {
+		t.Errorf("fact sets differ: %d vs %d facts", semi.Store.Len(), naive.Store.Len())
+	}
+}
+
 // TestSemiNaiveProofEquivalence: the canonical proofs coincide too (same
 // chase step sequence), so explanations are identical across strategies.
 func TestSemiNaiveProofEquivalence(t *testing.T) {
 	prog := parser.MustParse(twoChannelSrc)
 	semi := MustRun(prog, Options{})
-	naive := MustRun(prog, Options{Naive: true})
+	naive, err := runTuned(naiveRef, prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(semi.Steps) != len(naive.Steps) {
 		t.Fatalf("step counts differ: %d vs %d", len(semi.Steps), len(naive.Steps))
 	}

@@ -29,12 +29,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/database"
-	"repro/internal/depgraph"
 	"repro/internal/term"
 )
 
@@ -194,8 +192,8 @@ func (l *Live) EncodeState() ([]byte, error) {
 }
 
 // RestoreLive rebuilds a Live from an EncodeState payload taken against the
-// same program. Executor options (Workers, Legacy, Batch) may differ from
-// the snapshotting engine's — results are byte-identical across executors —
+// same program. Workers may differ from the snapshotting engine's — results
+// are byte-identical at any worker count and under every join strategy —
 // but the program must be identical: rule references are stored as indexes
 // into Program.Rules. The caller is responsible for that check (the on-disk
 // envelope verifies a program fingerprint).
@@ -203,44 +201,12 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("chase: restore: invalid program: %w", err)
 	}
-	if opts.Batch && opts.Legacy {
-		return nil, fmt.Errorf("chase: restore: options Batch and Legacy are mutually exclusive")
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	maxFacts := opts.MaxFacts
-	if maxFacts <= 0 {
-		maxFacts = defaultMaxFacts
-	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	r := &stateReader{data: data}
 	if v := r.byte(); r.err == nil && v != stateVersion {
 		return nil, fmt.Errorf("chase: restore: unsupported state version %d", v)
 	}
 
-	e := &engine{
-		prog:       p,
-		store:      database.NewStore(),
-		derivs:     map[database.FactID][]*Derivation{},
-		superseded: map[database.FactID]bool{},
-		aggState:   map[string]aggEmission{},
-		lastSeen:   map[*ast.Rule]int{},
-		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
-		aggOrder:   map[*ast.Rule][]string{},
-		lastSuper:  map[*ast.Rule]int{},
-		plans:      map[*ast.Rule]*plan{},
-		maxFacts:   maxFacts,
-		naive:      opts.Naive,
-		legacy:     opts.Legacy,
-		batch:      opts.Batch,
-		workers:    workers,
-	}
+	e := newEngine(p, opts)
 
 	// Dictionary first: interning the exact representatives in id order
 	// reproduces every id assignment, so the fact rows, aggregation keys and
@@ -380,41 +346,13 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		return nil, fmt.Errorf("chase: restore: %d trailing bytes after state payload", len(r.data)-r.off)
 	}
 
-	// Recompile plans (dictionary already holds every constant, so no new
-	// ids are assigned) and recompute the program-derived evaluation sets.
-	if !e.legacy {
-		for _, rl := range p.Rules {
-			if _, err := e.planFor(rl); err != nil {
-				return nil, fmt.Errorf("chase: restore: rule %s: %w", rl.Label, err)
-			}
-		}
-	}
-	strata, err := depgraph.New(p).Stratify()
+	l, err := e.live(opts)
 	if err != nil {
 		return nil, fmt.Errorf("chase: restore: %w", err)
 	}
-	maxStratum := 0
-	for _, s := range strata {
-		if s > maxStratum {
-			maxStratum = s
-		}
-	}
-	l := &Live{
-		e:           e,
-		strata:      strata,
-		maxStratum:  maxStratum,
-		maxRounds:   maxRounds,
-		rounds:      rounds,
-		existRules:  existentialRules(p),
-		loadSeconds: loadSeconds,
-		evalSeconds: evalSeconds,
-	}
-	for _, rl := range p.Rules {
-		if len(rl.Negated) > 0 {
-			l.hasNeg = true
-			break
-		}
-	}
+	l.rounds = rounds
+	l.loadSeconds = loadSeconds
+	l.evalSeconds = evalSeconds
 	return l, nil
 }
 

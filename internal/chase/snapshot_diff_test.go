@@ -128,25 +128,28 @@ func randomDelta(rng *rand.Rand, base *[]ast.Atom) (add, retract []ast.Atom) {
 	return add, retract
 }
 
-// applyBoth drives the original and the restored maintainer with the same
-// delta. Updates that fail must fail on both sides (e.g. retracting an atom
-// that is currently derived); the maintainers would be poisoned, so the
-// caller rebuilds — here we simply skip deltas that are invalid on both.
-func applyBoth(t *testing.T, label string, a, b *incremental.Maintainer, add, retract []ast.Atom) {
+// applyAll drives the original maintainer (ms[0]) and the restored ones with
+// the same delta and asserts they agree on outcome, statistics and state.
+// Updates that fail must fail everywhere (e.g. retracting an atom that is
+// currently derived); the maintainers would be poisoned, so the history
+// generator avoids such deltas and a failure is fatal.
+func applyAll(t *testing.T, label string, ms []*incremental.Maintainer, add, retract []ast.Atom) {
 	t.Helper()
-	resA, statsA, errA := a.Update(add, retract)
-	resB, statsB, errB := b.Update(add, retract)
-	if (errA == nil) != (errB == nil) {
-		t.Fatalf("%s: update divergence: original err=%v, restored err=%v", label, errA, errB)
-	}
-	if errA != nil {
-		t.Fatalf("%s: update failed on both (history generator produced an invalid delta): %v", label, errA)
-	}
-	if statsA != statsB {
-		t.Fatalf("%s: update stats differ: %+v vs %+v", label, statsA, statsB)
-	}
-	if w, g := dumpEngineState(t, resA), dumpEngineState(t, resB); w != g {
-		t.Fatalf("%s: engine states differ after update\n--- original ---\n%s--- restored ---\n%s", label, w, g)
+	resA, statsA, errA := ms[0].Update(add, retract)
+	for i, m := range ms[1:] {
+		resB, statsB, errB := m.Update(add, retract)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: update divergence: original err=%v, restored %d err=%v", label, errA, i, errB)
+		}
+		if errA != nil {
+			t.Fatalf("%s: update failed on both (history generator produced an invalid delta): %v", label, errA)
+		}
+		if statsA != statsB {
+			t.Fatalf("%s: update stats differ: %+v vs %+v", label, statsA, statsB)
+		}
+		if w, g := dumpEngineState(t, resA), dumpEngineState(t, resB); w != g {
+			t.Fatalf("%s: engine states differ after update\n--- original ---\n%s--- restored %d ---\n%s", label, w, i, g)
+		}
 	}
 }
 
@@ -177,8 +180,11 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				opts := chase.Options{MaxRounds: 500, MaxFacts: 100_000}
+				// Histories alternate the executor the original runs on; the
+				// cross-exec restore below gets the other one.
+				exec, altExec := chase.FrameOnly, chase.BatchAlways
 				if seed%2 == 1 {
-					opts.Batch = true
+					exec, altExec = altExec, exec
 				}
 				var pool []ast.Atom
 				seedFacts := []ast.Atom{
@@ -188,7 +194,9 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				pool = append(pool, seedFacts...)
 				optsSeed := opts
 				optsSeed.ExtraFacts = seedFacts
-				live, err := chase.RunLive(prog, optsSeed)
+				var live *chase.Live
+				var err error
+				chase.WithTuning(exec, func() { live, err = chase.RunLive(prog, optsSeed) })
 				if err != nil {
 					t.Fatalf("initial chase: %v", err)
 				}
@@ -217,15 +225,16 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				// different executor (results are byte-identical across
 				// executors, so restored state must be too).
 				altOpts := opts
-				altOpts.Batch = !opts.Batch
 				altOpts.Workers = 4
 				variants := []struct {
 					name string
+					exec chase.Tuning
 					opts chase.Options
-				}{{"same-exec", opts}, {"cross-exec", altOpts}}
-				var sameExec *incremental.Maintainer
+				}{{"same-exec", exec, opts}, {"cross-exec", altExec, altOpts}}
+				lockstep := []*incremental.Maintainer{orig}
 				for _, v := range variants {
-					restoredLive, err := chase.RestoreLive(prog, v.opts, payload)
+					var restoredLive *chase.Live
+					chase.WithTuning(v.exec, func() { restoredLive, err = chase.RestoreLive(prog, v.opts, payload) })
 					if err != nil {
 						t.Fatalf("%s: RestoreLive: %v", v.name, err)
 					}
@@ -242,20 +251,19 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 					if !bytes.Equal(payload, payload2) {
 						t.Fatalf("%s: re-encoded payload differs (%d vs %d bytes)", v.name, len(payload), len(payload2))
 					}
-					if v.name == "same-exec" {
-						sameExec = restored
-					}
+					lockstep = append(lockstep, restored)
 				}
 				// Lockstep (after both variants compared against the pristine
 				// original): identical updates against the original and the
-				// restored engine must produce identical state at every step.
+				// restored engines — one of them on the other executor — must
+				// produce identical state at every step.
 				stepRng := rand.New(rand.NewSource(seed + 1000))
 				for i := 0; i < 6; i++ {
 					add, retract := randomDelta(stepRng, &pool)
 					if !validDelta(orig, retract) {
 						retract = nil
 					}
-					applyBoth(t, fmt.Sprintf("update %d", i), orig, sameExec, add, retract)
+					applyAll(t, fmt.Sprintf("update %d", i), lockstep, add, retract)
 				}
 			})
 		}

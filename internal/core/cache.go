@@ -18,11 +18,11 @@ import (
 // outcome, plus the maintained instance's epoch (0 until the pipeline's
 // first Update). Extra facts are hashed in order — fact order determines
 // fact ids and hence proofs, so two requests are "the same run" only when
-// their fact lists match positionally. Workers, Legacy, Naive and Batch are
-// deliberately excluded: results are proven byte-identical across those
-// settings (the differential suites in chase enforce it), so runs may be
-// shared across them; MaxRounds and MaxFacts are included because they
-// decide whether a run errors at all. The epoch is included because an
+// their fact lists match positionally. Workers is deliberately excluded:
+// results are proven byte-identical at any worker count (the differential
+// suites in chase enforce it), so runs may be shared across settings;
+// MaxRounds and MaxFacts are included because they decide whether a run
+// errors at all. The epoch is included because an
 // update changes the effective base without changing the program text:
 // without it, a result cached before the update would keep answering
 // requests made after it.

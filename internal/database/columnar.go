@@ -65,17 +65,21 @@ import (
 
 // ColumnarStats counts index-maintenance work — full rebuilds (first build or
 // post-retraction), tail→base merges, refreshes that only re-sorted the
-// tail, and the total rows appended into tails — plus the join-path
-// selection counters the batch executor reports back: how many extension
-// passes ran as a sorted merge (leapfrog triejoin), as per-tuple run probes,
-// as dense-extent scans, or fell back to the tuple-at-a-time frame executor,
-// and the iterator work (seeks, galloping steps) the merge passes did.
+// tail, and the total rows appended into tails — plus the join-strategy
+// counters the chase engine reports back: how many rule evaluations it gave
+// to the tuple-at-a-time frame executor and how many to the batch executor,
+// and within the latter how many extension passes ran as a sorted merge
+// (leapfrog triejoin), as per-tuple run probes, as dense-extent scans, or
+// fell back to the frame executor for one pivot, and the iterator work
+// (seeks, galloping steps) the merge passes did.
 type ColumnarStats struct {
 	Rebuilds      uint64 `json:"rebuilds"`
 	Merges        uint64 `json:"merges"`
 	TailRefreshes uint64 `json:"tailRefreshes"`
 	AppendedRows  uint64 `json:"appendedRows"`
-	// Join-path selection (reported by internal/chase/batch.go).
+	// Join-strategy selection (reported by internal/chase).
+	FrameJoins     uint64 `json:"frameJoins"`
+	BatchJoins     uint64 `json:"batchJoins"`
 	TriejoinPasses uint64 `json:"triejoinPasses"`
 	ProbePasses    uint64 `json:"probePasses"`
 	ScanPasses     uint64 `json:"scanPasses"`
@@ -89,6 +93,7 @@ type ColumnarStats struct {
 // stores; the per-store counters die with them).
 var globalColumnar struct {
 	rebuilds, merges, tailRefreshes, appended       atomic.Uint64
+	frameJoins, batchJoins                          atomic.Uint64
 	triejoin, probe, scan, fallback, seeks, gallops atomic.Uint64
 }
 
@@ -100,6 +105,8 @@ func GlobalColumnarStats() ColumnarStats {
 		Merges:         globalColumnar.merges.Load(),
 		TailRefreshes:  globalColumnar.tailRefreshes.Load(),
 		AppendedRows:   globalColumnar.appended.Load(),
+		FrameJoins:     globalColumnar.frameJoins.Load(),
+		BatchJoins:     globalColumnar.batchJoins.Load(),
 		TriejoinPasses: globalColumnar.triejoin.Load(),
 		ProbePasses:    globalColumnar.probe.Load(),
 		ScanPasses:     globalColumnar.scan.Load(),
@@ -112,24 +119,32 @@ func GlobalColumnarStats() ColumnarStats {
 // ColumnarStats snapshots this store's columnar maintenance counters.
 func (s *Store) ColumnarStats() ColumnarStats { return s.colStats }
 
-// AddJoinStats folds a batch of join-path selection counters into the
-// store's (and the process-wide) columnar stats. The batch executor
-// accumulates counters locally during its read-only (possibly frozen and
-// concurrent) join phase and flushes them here once per join, from the
-// single-threaded side of the phase boundary.
+// AddJoinStats folds a batch of join-strategy counters into the store's (and
+// the process-wide) columnar stats. The chase engine counts its executor
+// choices in plain fields and flushes them when it snapshots a fixpoint; the
+// batch executor accumulates its pass counters locally during its read-only
+// (possibly frozen and concurrent) join phase and flushes them here once per
+// join, from the single-threaded side of the phase boundary.
 func (s *Store) AddJoinStats(d ColumnarStats) {
-	s.colStats.TriejoinPasses += d.TriejoinPasses
-	s.colStats.ProbePasses += d.ProbePasses
-	s.colStats.ScanPasses += d.ScanPasses
-	s.colStats.FrameFallbacks += d.FrameFallbacks
-	s.colStats.Seeks += d.Seeks
-	s.colStats.GallopSteps += d.GallopSteps
-	globalColumnar.triejoin.Add(d.TriejoinPasses)
-	globalColumnar.probe.Add(d.ProbePasses)
-	globalColumnar.scan.Add(d.ScanPasses)
-	globalColumnar.fallback.Add(d.FrameFallbacks)
-	globalColumnar.seeks.Add(d.Seeks)
-	globalColumnar.gallops.Add(d.GallopSteps)
+	for _, c := range [...]struct {
+		local  *uint64
+		global *atomic.Uint64
+		n      uint64
+	}{
+		{&s.colStats.FrameJoins, &globalColumnar.frameJoins, d.FrameJoins},
+		{&s.colStats.BatchJoins, &globalColumnar.batchJoins, d.BatchJoins},
+		{&s.colStats.TriejoinPasses, &globalColumnar.triejoin, d.TriejoinPasses},
+		{&s.colStats.ProbePasses, &globalColumnar.probe, d.ProbePasses},
+		{&s.colStats.ScanPasses, &globalColumnar.scan, d.ScanPasses},
+		{&s.colStats.FrameFallbacks, &globalColumnar.fallback, d.FrameFallbacks},
+		{&s.colStats.Seeks, &globalColumnar.seeks, d.Seeks},
+		{&s.colStats.GallopSteps, &globalColumnar.gallops, d.GallopSteps},
+	} {
+		if c.n != 0 { // most calls carry one or two counters
+			*c.local += c.n
+			c.global.Add(c.n)
+		}
+	}
 }
 
 // colRun is one sorted run of a positional permutation: dense indexes sorted

@@ -1,18 +1,13 @@
 package figures
 
-// Columnar join-throughput benchmark (`bench -fig columnar`): the three
-// join engines — legacy map-based, compiled tuple-at-a-time frame executor,
-// batch-at-a-time columnar executor — timed on identical million-fact
-// synthetic ownership chases. Fact ingestion (parsing, interning, hash-index
-// construction) is identical code across engines and would dilute any
-// executor comparison at this scale, so the rows report the engine's
-// chase.Result.EvalSeconds (plan compilation + chase to fixpoint), with the
-// shared ingestion cost shown once per workload. Engines run batch-first so
-// the columnar executor is measured on the coldest heap, and each run's
-// result is released (retaining only its fact count) before the next engine
-// starts. All three engines produce byte-identical results (the
-// differential suites in internal/chase enforce it); the rows below only
-// move wall time.
+// Columnar join-throughput benchmark (`bench -fig columnar`): the chase
+// engine timed on million-fact synthetic ownership chases, with the join
+// strategies it chose for them. Fact ingestion (parsing, interning,
+// hash-index construction) would dilute the join numbers at this scale, so
+// the rows report chase.Result.EvalSeconds (plan compilation + chase to
+// fixpoint) with the ingestion cost shown beside it, and
+// chase.Result.JoinStats: how many rule evaluations went to the frame and
+// to the batch executor, and which passes the latter ran.
 
 import (
 	"fmt"
@@ -21,52 +16,33 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/chase"
+	"repro/internal/database"
 	"repro/internal/parser"
 	"repro/internal/synth"
 )
 
-// chaseBatch selects the batch-at-a-time columnar join executor for every
-// figure regeneration; see SetChaseBatch.
-var chaseBatch bool
-
-// SetChaseBatch sets chase.Options.Batch for all subsequent figure
-// regenerations. cmd/bench threads its -batch flag through here so any
-// figure can be timed under the columnar executor; results are identical
-// either way.
-func SetChaseBatch(on bool) { chaseBatch = on }
-
 // ColumnarPoint is one workload row of the columnar throughput benchmark.
-// The per-engine seconds are evaluation-only (chase.Result.EvalSeconds):
-// plan compilation, the chase to fixpoint and constraint checking, with the
-// shared fact-ingestion phase excluded.
 type ColumnarPoint struct {
 	// Workload names the measured chase.
 	Workload string `json:"workload"`
 	// Facts is the extensional database size.
 	Facts int `json:"facts"`
-	// Derived is the number of facts the chase adds (identical across
-	// engines, asserted).
+	// Derived is the number of facts the chase adds.
 	Derived int `json:"derived"`
-	// IngestSeconds is the shared fact-ingestion phase (the batch run's
-	// LoadSeconds), reported for context; it is identical code under
-	// every executor and excluded from the per-engine numbers.
+	// IngestSeconds is the fact-ingestion phase (chase.Result.LoadSeconds),
+	// reported for context and excluded from EvalSeconds.
 	IngestSeconds float64 `json:"ingestSeconds"`
-	// LegacySeconds, FrameSeconds and BatchSeconds are the rule-evaluation
-	// times of the three engines.
-	LegacySeconds float64 `json:"legacySeconds"`
-	FrameSeconds  float64 `json:"frameSeconds"`
-	BatchSeconds  float64 `json:"batchSeconds"`
-	// SpeedupVsFrame is FrameSeconds / BatchSeconds — the columnar
-	// executor's gain over the tuple-at-a-time compiled executor.
-	SpeedupVsFrame float64 `json:"speedupVsFrame"`
-	// SpeedupVsLegacy is LegacySeconds / BatchSeconds.
-	SpeedupVsLegacy float64 `json:"speedupVsLegacy"`
+	// EvalSeconds is the rule-evaluation time (chase.Result.EvalSeconds):
+	// plan compilation, the chase to fixpoint and constraint checking.
+	EvalSeconds float64 `json:"evalSeconds"`
+	// Joins are the join strategies the engine chose for the run.
+	Joins database.ColumnarStats `json:"joins"`
 }
 
 // The two measured rule programs over the layered ownership EKG. Majority
 // reachability is the recursive semi-naive workload: every round scans the
 // reached frontier's out-edges but extends through the ~8% majority ones,
-// and the per-pivot delta restriction is where the columnar executor's
+// and the per-pivot delta restriction is where the batch executor's
 // dense-boundary range check replaces the frame executor's scan-and-filter.
 // The two-hop probe is the non-recursive bulk-join workload: one pass over
 // the full extent with a selective numeric condition at each depth.
@@ -84,10 +60,10 @@ const (
 `
 )
 
-// ColumnarThroughput measures the three join engines on a million-fact
-// layered ownership EKG (64 layers x 500 companies x fanout 32: 1.024M Own
-// facts). `bench -fig columnar` renders the table and snapshots the points
-// to BENCH_columnar.json.
+// ColumnarThroughput measures the engine on a million-fact layered
+// ownership EKG (64 layers x 500 companies x fanout 32: 1.024M Own facts).
+// `bench -fig columnar` renders the table and snapshots the points to
+// BENCH_columnar.json.
 func ColumnarThroughput() (string, []ColumnarPoint, error) {
 	return columnarThroughput(64, 500, 32)
 }
@@ -98,8 +74,9 @@ func columnarThroughput(layers, width, fanout int) (string, []ColumnarPoint, err
 	facts := synth.LayeredOwnership(layers, width, fanout, 42)
 	var points []ColumnarPoint
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-16s %9s %9s %9s %11s %11s %11s %9s %9s\n",
-		"workload", "facts", "derived", "ingest s", "legacy s", "frame s", "batch s", "vs frame", "vs legacy")
+	fmt.Fprintf(&sb, "%-16s %9s %9s %9s %9s %7s %7s %9s %7s %7s\n",
+		"workload", "facts", "derived", "ingest s", "eval s",
+		"frame", "batch", "leapfrog", "probe", "scan")
 	for _, w := range []struct{ name, rules string }{
 		{"majority-reach", columnarReachRules},
 		{"two-hop", columnarTwoHopRules},
@@ -109,70 +86,31 @@ func columnarThroughput(layers, width, fanout int) (string, []ColumnarPoint, err
 			return "", nil, err
 		}
 		points = append(points, pt)
-		fmt.Fprintf(&sb, "%-16s %9d %9d %9.2f %11.3f %11.3f %11.3f %8.1fx %8.1fx\n",
-			pt.Workload, pt.Facts, pt.Derived, pt.IngestSeconds,
-			pt.LegacySeconds, pt.FrameSeconds, pt.BatchSeconds,
-			pt.SpeedupVsFrame, pt.SpeedupVsLegacy)
+		fmt.Fprintf(&sb, "%-16s %9d %9d %9.2f %9.3f %7d %7d %9d %7d %7d\n",
+			pt.Workload, pt.Facts, pt.Derived, pt.IngestSeconds, pt.EvalSeconds,
+			pt.Joins.FrameJoins, pt.Joins.BatchJoins,
+			pt.Joins.TriejoinPasses, pt.Joins.ProbePasses, pt.Joins.ScanPasses)
 	}
 	return sb.String(), points, nil
 }
 
-// engineRun is the retained residue of one engine's measurement: the full
-// Result is released before the next engine runs so a 30+ GB legacy heap
-// cannot distort a later engine's GC behavior.
-type engineRun struct {
-	load, eval   float64
-	total, extra int
-}
-
-// columnarPoint times one rule program under the three engines (batch
-// first: coldest heap for the engine under test) and asserts they derived
-// the same facts.
+// columnarPoint times one rule program on a freshly collected heap.
 func columnarPoint(name, rules string, facts []ast.Atom) (ColumnarPoint, error) {
 	prog, err := parser.Parse(rules)
 	if err != nil {
 		return ColumnarPoint{}, fmt.Errorf("%s: parse: %w", name, err)
 	}
-	run := func(opts chase.Options) (engineRun, error) {
-		runtime.GC()
-		opts.ExtraFacts = facts
-		res, err := chase.Run(prog, opts)
-		if err != nil {
-			return engineRun{}, err
-		}
-		return engineRun{
-			load:  res.LoadSeconds,
-			eval:  res.EvalSeconds,
-			total: res.Store.Len(),
-			extra: len(facts),
-		}, nil
-	}
-	batch, err := run(chase.Options{Batch: true})
+	runtime.GC()
+	res, err := chase.Run(prog, chase.Options{ExtraFacts: facts})
 	if err != nil {
-		return ColumnarPoint{}, fmt.Errorf("%s: batch: %w", name, err)
+		return ColumnarPoint{}, fmt.Errorf("%s: %w", name, err)
 	}
-	frame, err := run(chase.Options{})
-	if err != nil {
-		return ColumnarPoint{}, fmt.Errorf("%s: frame: %w", name, err)
-	}
-	legacy, err := run(chase.Options{Legacy: true})
-	if err != nil {
-		return ColumnarPoint{}, fmt.Errorf("%s: legacy: %w", name, err)
-	}
-	if legacy.total != frame.total || frame.total != batch.total {
-		return ColumnarPoint{}, fmt.Errorf("%s: engines disagree: legacy %d, frame %d, batch %d facts",
-			name, legacy.total, frame.total, batch.total)
-	}
-	pt := ColumnarPoint{
+	return ColumnarPoint{
 		Workload:      name,
-		Facts:         batch.extra,
-		Derived:       batch.total - batch.extra,
-		IngestSeconds: batch.load,
-		LegacySeconds: legacy.eval,
-		FrameSeconds:  frame.eval,
-		BatchSeconds:  batch.eval,
-	}
-	pt.SpeedupVsFrame = pt.FrameSeconds / pt.BatchSeconds
-	pt.SpeedupVsLegacy = pt.LegacySeconds / pt.BatchSeconds
-	return pt, nil
+		Facts:         len(facts),
+		Derived:       res.Store.Len() - len(facts),
+		IngestSeconds: res.LoadSeconds,
+		EvalSeconds:   res.EvalSeconds,
+		Joins:         res.JoinStats,
+	}, nil
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestColumnarThroughputTiny runs the columnar benchmark at a toy scale: the
-// point builder itself asserts that all three engines derive the same fact
-// count, so passing means the measured workloads are engine-independent.
-func TestColumnarThroughputTiny(t *testing.T) {
-	table, points, err := columnarThroughput(6, 20, 5)
+// TestColumnarThroughputSmall runs the columnar benchmark at a scale just
+// past the engine's frame/batch cut-over (8 x 40 x 16 = 4,480 Own facts):
+// both workloads derive facts, report a positive evaluation time, and show
+// through the strategy counters that the batch executor served them.
+func TestColumnarThroughputSmall(t *testing.T) {
+	table, points, err := columnarThroughput(8, 40, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,11 @@ func TestColumnarThroughputTiny(t *testing.T) {
 		if pt.Derived <= 0 {
 			t.Fatalf("%s: nothing derived", pt.Workload)
 		}
-		if pt.BatchSeconds <= 0 || pt.FrameSeconds <= 0 || pt.LegacySeconds <= 0 {
+		if pt.EvalSeconds <= 0 {
 			t.Fatalf("%s: non-positive timing: %+v", pt.Workload, pt)
+		}
+		if pt.Joins.BatchJoins == 0 {
+			t.Fatalf("%s: batch executor never ran: %+v", pt.Workload, pt.Joins)
 		}
 		if !strings.Contains(table, pt.Workload) {
 			t.Fatalf("table missing workload %s:\n%s", pt.Workload, table)

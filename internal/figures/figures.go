@@ -33,27 +33,11 @@ var chaseWorkers int
 // wall time changes.
 func SetChaseWorkers(n int) { chaseWorkers = n }
 
-// chaseLegacy selects the legacy map-based join engine for every figure
-// regeneration; see SetChaseLegacy.
-var chaseLegacy bool
-
-// SetChaseLegacy sets chase.Options.Legacy for all subsequent figure
-// regenerations. cmd/bench threads its -legacy flag through here so the two
-// join engines can be timed against each other on identical workloads;
-// results are identical either way.
-func SetChaseLegacy(on bool) { chaseLegacy = on }
-
-// applyWorkers merges the package-level worker and engine settings into a
-// pipeline config that does not set its own.
+// applyWorkers merges the package-level worker setting into a pipeline
+// config that does not set its own.
 func applyWorkers(cfg core.Config) core.Config {
 	if cfg.Chase.Workers == 0 {
 		cfg.Chase.Workers = chaseWorkers
-	}
-	if chaseLegacy {
-		cfg.Chase.Legacy = true
-	}
-	if chaseBatch {
-		cfg.Chase.Batch = true
 	}
 	return cfg
 }

@@ -10,20 +10,16 @@ import (
 )
 
 // TestColumnarProfile is a profiling harness, not a correctness test: it
-// runs one columnar-benchmark workload under one engine so
+// runs one columnar-benchmark workload so
 // `go test -run TestColumnarProfile -cpuprofile cpu.out` isolates the join
-// executor selected by COLUMNAR_PROFILE_ENGINE (batch|frame|legacy).
-// COLUMNAR_PROFILE_WORKLOAD picks reach (default) or twohop;
-// COLUMNAR_PROFILE_FULL runs the benchmark's full million-fact scale
-// instead of the mid scale.
+// executor on it. COLUMNAR_PROFILE_WORKLOAD picks reach or twohop (unset
+// skips the test); COLUMNAR_PROFILE_FULL runs the benchmark's full
+// million-fact scale instead of the mid scale. Both scales are far past the
+// engine's frame/batch cut-over, which the strategy counters confirm.
 func TestColumnarProfile(t *testing.T) {
-	engine := os.Getenv("COLUMNAR_PROFILE_ENGINE")
-	if engine == "" {
-		t.Skip("set COLUMNAR_PROFILE_ENGINE=batch|frame|legacy to profile")
-	}
-	rules := columnarReachRules
-	if os.Getenv("COLUMNAR_PROFILE_WORKLOAD") == "twohop" {
-		rules = columnarTwoHopRules
+	rules := map[string]string{"reach": columnarReachRules, "twohop": columnarTwoHopRules}[os.Getenv("COLUMNAR_PROFILE_WORKLOAD")]
+	if rules == "" {
+		t.Skip("set COLUMNAR_PROFILE_WORKLOAD=reach|twohop to profile")
 	}
 	scale := []int{32, 300, 16}
 	if os.Getenv("COLUMNAR_PROFILE_FULL") != "" {
@@ -34,17 +30,13 @@ func TestColumnarProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := chase.Options{ExtraFacts: facts}
-	switch engine {
-	case "batch":
-		opts.Batch = true
-	case "legacy":
-		opts.Legacy = true
-	}
-	res, err := chase.Run(prog, opts)
+	res, err := chase.Run(prog, chase.Options{ExtraFacts: facts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s: %d facts total, load %.2fs eval %.2fs",
-		engine, res.Store.Len(), res.LoadSeconds, res.EvalSeconds)
+	if res.JoinStats.BatchJoins == 0 {
+		t.Fatalf("batch executor never ran: %+v", res.JoinStats)
+	}
+	t.Logf("%d facts total, load %.2fs eval %.2fs, joins %+v",
+		res.Store.Len(), res.LoadSeconds, res.EvalSeconds, res.JoinStats)
 }

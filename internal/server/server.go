@@ -302,11 +302,6 @@ type Options struct {
 	// request (chase.Options.Workers): 0 = sequential, negative = all
 	// cores. Responses are identical at any setting.
 	ChaseWorkers int
-	// ChaseBatch selects the batch-at-a-time columnar join executor for
-	// every reasoning request (chase.Options.Batch). Responses are
-	// identical either way; only wall time and the /stats columnar
-	// counters change.
-	ChaseBatch bool
 	// MaxSessions bounds the session store; at capacity the least
 	// recently used session is evicted and later /explain calls against
 	// it answer 404. 0 selects DefaultMaxSessions; negative values are
@@ -425,7 +420,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 		walSync:        opts.WALSync,
 		commitWindow:   opts.CommitWindow,
 		writeQueue:     opts.WriteQueue,
-		chaseOpts:      chase.Options{Workers: opts.ChaseWorkers, Batch: opts.ChaseBatch, MaxFacts: opts.MaxFacts},
+		chaseOpts:      chase.Options{Workers: opts.ChaseWorkers, MaxFacts: opts.MaxFacts},
 		compactCommits: opts.CompactCommits,
 		compactBytes:   opts.CompactBytes,
 		logf:           logger.Printf,
@@ -438,7 +433,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 	}
 	for _, a := range apps.All() {
 		p, err := a.Pipeline(core.Config{
-			Chase:                chase.Options{Workers: opts.ChaseWorkers, Batch: opts.ChaseBatch, MaxFacts: opts.MaxFacts},
+			Chase:                chase.Options{Workers: opts.ChaseWorkers, MaxFacts: opts.MaxFacts},
 			ResultCacheSize:      opts.ResultCacheSize,
 			ExplanationCacheSize: opts.MaxExplanations,
 		})
@@ -941,9 +936,12 @@ type statsResponse struct {
 	Apps map[string]core.CacheStats `json:"apps"`
 	// Incremental aggregates /facts maintenance work across all sessions.
 	Incremental incrementalStats `json:"incremental"`
-	// Columnar aggregates columnar index-maintenance work (rebuilds,
-	// tail merges, tail refreshes, appended rows) across every fact store
-	// in the process — the cost side of the batch executor's ledger.
+	// Columnar says which join strategies served this process's reasoning
+	// — rule evaluations on the frame and on the batch executor, the batch
+	// executor's leapfrog/probe/scan passes and frame fallbacks — and what
+	// the columnar indexes behind the batch executor cost to maintain
+	// (rebuilds, tail merges, tail refreshes, appended rows), summed over
+	// every fact store in the process.
 	Columnar database.ColumnarStats `json:"columnar"`
 	// Requests reports the request-lifecycle accounting (admission,
 	// deadlines, contained panics).
