@@ -11,7 +11,6 @@
 //	bench -fig incremental # single-fact update vs full re-chase; writes BENCH_incremental.json
 //	bench -fig columnar   # join throughput and strategies on a million-fact EKG; writes BENCH_columnar.json
 //	bench -fig write      # serialized vs group-commit write throughput; writes BENCH_write.json
-//	bench -fig load       # 100k-session serving-tier load harness; writes BENCH_load.json
 package main
 
 import (
@@ -119,27 +118,14 @@ type writePathSnapshot struct {
 	CrossSessions []figures.CrossSyncPoint `json:"crossSessions"`
 }
 
-// loadSnapshot is the serving-tier load record `bench -fig load` writes to
-// BENCH_load.json. Each workload carries the per-class latency percentiles
-// and durability counters plus the restore-latency summary and, for the
-// routed topology, the routing-layer delta (retries/failovers and
-// session-location-cache activity).
-type loadSnapshot struct {
-	envelope
-	Workloads []figures.LoadPoint `json:"workloads"`
-}
-
 func main() {
 	var (
-		fig          = flag.String("fig", "all", "figure id (fig3, fig10, fig6, fig7, fig8, ex48, fig13, fig14, fig15, fig16, fig17, fig18, serving, incremental, columnar, write, load) or 'all'")
+		fig          = flag.String("fig", "all", "figure id (fig3, fig10, fig6, fig7, fig8, ex48, fig13, fig14, fig15, fig16, fig17, fig18, serving, incremental, columnar, write) or 'all'")
 		seed         = flag.Int64("seed", 42, "experiment seed")
 		proofs       = flag.Int("proofs", 10, "proofs per length (fig17: paper uses 10; fig18: 15)")
 		participants = flag.Int("participants", 24, "comprehension-study participants (fig14)")
 		experts      = flag.Int("experts", 14, "expert-study raters (fig16)")
 		workers      = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; figures are identical at any setting")
-		sessions     = flag.Int("sessions", 0, "load: concurrent-session population (0 = the official 100k)")
-		ops          = flag.Int("ops", 0, "load: steady-state operations (0 = 100k)")
-		concurrency  = flag.Int("concurrency", 0, "load: client goroutines (0 = 64)")
 		jsonLabel    = flag.String("json", "", "also write per-figure wall times to BENCH_<label>.json")
 		timeout      = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); Ctrl-C always interrupts cleanly")
 	)
@@ -210,13 +196,6 @@ func main() {
 				return "", err
 			}
 			return out, writeSnapshot("write", writePathSnapshot{newEnvelope(*workers), points, cross})
-		},
-		"load": func() (string, error) {
-			out, points, err := figures.LoadCapacity(*sessions, *ops, *concurrency)
-			if err != nil {
-				return "", err
-			}
-			return out, writeSnapshot("load", loadSnapshot{newEnvelope(*workers), points})
 		},
 	}
 	// Aliases: the paper's figure numbers group several renderings.

@@ -40,7 +40,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "chase worker-pool size per reasoning request: 0 = sequential, -1 = all cores")
-	maxSessions := flag.Int("max-sessions", 0, "session LRU capacity (0 = default)")
+	maxSessions := flag.Int("max-sessions", 0, "resident-session capacity (0 = default)")
 	maxExplanations := flag.Int("max-explanations", 0, "rendered-explanation LRU capacity (0 = default)")
 	resultCache := flag.Int("result-cache", 0, "per-app reasoning-result cache capacity (0 = default)")
 	timeout := flag.Duration("timeout", 0, "per-request reasoning deadline (0 = default 30s, negative = no deadline)")
@@ -53,7 +53,6 @@ func main() {
 	writeQueue := flag.Int("write-queue", 0, "per-session pending-write queue bound; beyond it writes answer 429 (0 = default 64)")
 	compactThreshold := flag.Int("compact-threshold", 0, "checkpoint a session to its snapshot and truncate its WAL after this many committed deltas (0 = no count-based compaction)")
 	compactBytes := flag.Int64("compact-bytes", 0, "checkpoint and truncate when a session's WAL exceeds this size in bytes (0 = no size-based compaction)")
-	retireQueue := flag.Int("retire-queue", 0, "max concurrent background session retirements on LRU eviction; beyond it evictions checkpoint inline (0 = default 1, negative = always inline)")
 	flag.Parse()
 
 	sync, err := wal.ParseSyncPolicy(*fsync)
@@ -75,7 +74,6 @@ func main() {
 		WriteQueue:      *writeQueue,
 		CompactCommits:  *compactThreshold,
 		CompactBytes:    *compactBytes,
-		RetireQueue:     *retireQueue,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)

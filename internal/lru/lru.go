@@ -1,8 +1,8 @@
 // Package lru provides a small bounded least-recently-used cache with
 // hit/miss/eviction accounting. It backs the serving layer's memoization:
-// the explanation service keeps reasoning sessions and rendered
-// explanations in LRU caches so that memory stays bounded under heavy
-// traffic while repeated queries are served from memory (the Vadalog
+// reasoning results, explanations, rendered responses and the router's
+// session locations live in LRU caches so that memory stays bounded under
+// heavy traffic while repeated queries are served from memory (the Vadalog
 // system papers motivate exactly this split between an optimized reasoning
 // core and a bounded serving layer above it).
 //
@@ -28,14 +28,6 @@ type Cache[K comparable, V any] struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-
-	// onEvict, when set, observes capacity evictions (not Removes).
-	onEvict func(K, V)
-	// onEvictLocked, when set, runs under the cache lock in the same
-	// critical section that removes an evicted entry — before the removal
-	// is visible to any other cache caller. It must not call back into
-	// the cache.
-	onEvictLocked func(K, V)
 }
 
 // entry is one cache slot, stored in the recency list.
@@ -94,96 +86,12 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		return
 	}
 	c.items[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
-	var evicted []*entry[K, V]
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
 		c.order.Remove(oldest)
-		e := oldest.Value.(*entry[K, V])
-		delete(c.items, e.key)
+		delete(c.items, oldest.Value.(*entry[K, V]).key)
 		c.evictions++
-		if c.onEvictLocked != nil {
-			c.onEvictLocked(e.key, e.val)
-		}
-		if c.onEvict != nil {
-			evicted = append(evicted, e)
-		}
 	}
-	// Run the eviction hook outside the cache lock so it may touch the
-	// cache (or anything that does) without deadlocking.
-	if len(evicted) > 0 {
-		fn := c.onEvict
-		c.mu.Unlock()
-		for _, e := range evicted {
-			fn(e.key, e.val)
-		}
-		c.mu.Lock()
-	}
-}
-
-// OnEvict registers a hook observing every capacity eviction — the serving
-// layer uses it to release per-session resources (WAL file handles, commit
-// queues) when a session falls out of the LRU. Deliberate Removes do not
-// trigger it. The hook runs outside the cache lock, after the entry is
-// already gone. Set it before the cache is shared.
-func (c *Cache[K, V]) OnEvict(fn func(K, V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onEvict = fn
-}
-
-// OnEvictLocked registers a hook that runs under the cache lock, in the
-// same critical section that removes an evicted entry. The serving layer
-// uses it to register the eviction in a side table atomically with the
-// removal, so a concurrent lookup that misses the entry is guaranteed to
-// find the registration — there is no window in which the entry is gone
-// from both. The hook must be fast and must not call back into the
-// cache. Set it before the cache is shared.
-func (c *Cache[K, V]) OnEvictLocked(fn func(K, V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onEvictLocked = fn
-}
-
-// Evict removes k through the eviction path: the locked hook runs in the
-// same critical section as the removal and the eviction hook runs after
-// the lock is released, exactly as for a capacity eviction. It reports
-// whether k was present. The removal is deliberate, so it does not count
-// toward the eviction stat.
-func (c *Cache[K, V]) Evict(k K) bool {
-	c.mu.Lock()
-	el, ok := c.items[k]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	c.order.Remove(el)
-	e := el.Value.(*entry[K, V])
-	delete(c.items, e.key)
-	if c.onEvictLocked != nil {
-		c.onEvictLocked(e.key, e.val)
-	}
-	fn := c.onEvict
-	c.mu.Unlock()
-	if fn != nil {
-		fn(e.key, e.val)
-	}
-	return true
-}
-
-// Keys returns the cached keys, most recently used first. The slice is a
-// snapshot: entries may come and go while the caller iterates (the serving
-// layer's drain uses it and tolerates both).
-func (c *Cache[K, V]) Keys() []K {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]K, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry[K, V]).key)
-	}
-	return out
 }
 
 // Remove drops the entry stored under k, reporting whether it was present.
@@ -202,11 +110,11 @@ func (c *Cache[K, V]) Remove(k K) bool {
 
 // RemoveFunc removes every entry matching pred under one lock
 // acquisition, without touching hit/miss accounting or recency order,
-// and returns how many were removed. Removals are deliberate: neither
-// eviction hook runs and the eviction stat does not move. The router
-// uses it to sweep the location cache when a worker leaves service —
-// a Keys-then-Get walk would bump recency and stats per entry and
-// contend with request-path lookups exactly when the tier is degraded.
+// and returns how many were removed. Removals are deliberate: the
+// eviction stat does not move. The router uses it to sweep the location
+// cache when a worker leaves service — a walk of Gets would bump recency
+// and stats per entry and contend with request-path lookups exactly when
+// the tier is degraded.
 func (c *Cache[K, V]) RemoveFunc(pred func(K, V) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -79,93 +79,10 @@ func TestHitMissCounting(t *testing.T) {
 	}
 }
 
-// TestEvictHookOrdering: a capacity eviction runs the locked hook before
-// the unlocked one, for the same entry; Evict runs both exactly like a
-// capacity eviction (without counting as one) and Remove runs neither.
-// The locked hook's in-critical-section guarantee is what lets the
-// serving layer register a retirement atomically with the removal.
-func TestEvictHookOrdering(t *testing.T) {
-	c := New[string, int](1)
-	var order []string
-	c.OnEvictLocked(func(k string, v int) { order = append(order, "locked:"+k) })
-	c.OnEvict(func(k string, v int) { order = append(order, "evict:"+k) })
-
-	c.Put("a", 1)
-	c.Put("b", 2) // evicts a
-	if len(order) != 2 || order[0] != "locked:a" || order[1] != "evict:a" {
-		t.Fatalf("capacity eviction hooks = %v, want [locked:a evict:a]", order)
-	}
-
-	order = nil
-	if !c.Evict("b") {
-		t.Fatal("Evict(b) = false, want true")
-	}
-	if len(order) != 2 || order[0] != "locked:b" || order[1] != "evict:b" {
-		t.Fatalf("Evict hooks = %v, want [locked:b evict:b]", order)
-	}
-	if c.Evict("b") {
-		t.Error("Evict of an absent key reported true")
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (Evict is deliberate)", st.Evictions)
-	}
-
-	order = nil
-	c.Put("c", 3)
-	c.Remove("c")
-	if len(order) != 0 {
-		t.Errorf("Remove ran hooks: %v", order)
-	}
-}
-
-// TestEvictLockedAtomicWithRemoval: while the locked hook runs, no other
-// cache caller can observe the entry as gone — a concurrent Get blocks
-// until the hook's critical section ends. This is the registration-gap
-// regression: under the old hook placement a lookup could slip between
-// the removal and the side-table registration.
-func TestEvictLockedAtomicWithRemoval(t *testing.T) {
-	c := New[string, int](1)
-	inHook := make(chan struct{})
-	release := make(chan struct{})
-	registered := false
-	c.OnEvictLocked(func(k string, v int) {
-		close(inHook)
-		<-release    // hold the critical section open
-		registered = true // the "side table" write, inside the section
-	})
-	c.Put("a", 1)
-
-	done := make(chan bool)
-	go func() {
-		c.Put("b", 2) // evicts a, parks in the locked hook
-	}()
-	<-inHook
-	go func() {
-		_, ok := c.Get("a")
-		done <- ok
-	}()
-	select {
-	case <-done:
-		t.Fatal("Get returned while the locked eviction hook held the critical section")
-	default:
-	}
-	close(release)
-	if ok := <-done; ok {
-		t.Error("Get(a) found the evicted entry")
-	}
-	if !registered {
-		t.Error("Get unblocked before the locked hook finished registering")
-	}
-}
-
 // TestRemoveFunc: the predicate sweep removes matching entries in one
-// pass without touching hit/miss accounting, recency order or the
-// eviction hooks.
+// pass without touching hit/miss/eviction accounting.
 func TestRemoveFunc(t *testing.T) {
 	c := New[string, string](8)
-	hooks := 0
-	c.OnEvictLocked(func(string, string) { hooks++ })
-	c.OnEvict(func(string, string) { hooks++ })
 	c.Put("s1", "w1")
 	c.Put("s2", "w2")
 	c.Put("s3", "w1")
@@ -174,9 +91,6 @@ func TestRemoveFunc(t *testing.T) {
 
 	if n := c.RemoveFunc(func(_, loc string) bool { return loc == "w1" }); n != 2 {
 		t.Fatalf("RemoveFunc removed %d, want 2", n)
-	}
-	if hooks != 0 {
-		t.Errorf("RemoveFunc ran %d eviction hooks, want 0", hooks)
 	}
 	after := c.Stats()
 	if after.Hits != before.Hits || after.Misses != before.Misses || after.Evictions != before.Evictions {

@@ -9,12 +9,14 @@ package router
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +70,10 @@ func TestRoutedTierSurvivesWorkerKill(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	dir := t.TempDir()
+	// 12 sessions over 3 workers of 3 resident slots: at least one worker
+	// holds more sessions than fit and serves them by evicting and restoring.
+	const resident = 3
+	t.Setenv("ROUTER_E2E_RESIDENT", strconv.Itoa(resident))
 	var (
 		cmds    []*exec.Cmd
 		urls    []string
@@ -107,6 +113,39 @@ func TestRoutedTierSurvivesWorkerKill(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || before[i].Epoch != 1 {
 			t.Fatalf("read %d: status %d epoch %d", i, resp.StatusCode, before[i].Epoch)
 		}
+	}
+
+	// The population exceeds residency on at least one worker, so touching
+	// every session again goes through eviction and restore behind the
+	// router — with identical answers and nothing failing.
+	for i, id := range ids {
+		var again e2eReason
+		resp := postJSON(t, ts.URL+"/reason", fmt.Sprintf(`{"session":%q}`, id), &again)
+		if resp.StatusCode != http.StatusOK || again.Epoch != before[i].Epoch ||
+			strings.Join(again.Answers, "\n") != strings.Join(before[i].Answers, "\n") {
+			t.Fatalf("session %s re-read under churn: status %d, %+v, want %+v", id, resp.StatusCode, again, before[i])
+		}
+	}
+	var restores uint64
+	for _, url := range urls {
+		var st struct {
+			WritePath struct {
+				Restores uint64 `json:"restores"`
+			} `json:"writePath"`
+		}
+		resp, err := http.Get(url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restores += st.WritePath.Restores
+	}
+	if restores == 0 {
+		t.Errorf("%d sessions over %d workers of %d resident slots induced no restores", sessions, workers, resident)
 	}
 
 	// SIGKILL the worker that owns the most sessions (fall back to any):
@@ -303,7 +342,10 @@ func TestRouterE2EWorker(t *testing.T) {
 // (or a fixed addr for rejoin tests — retried briefly, since the killed
 // predecessor's port can take a moment to free).
 func runE2EWorker(dir, addr string) {
-	s, err := server.NewWithOptions(server.Options{WALDir: dir})
+	// ROUTER_E2E_RESIDENT, when a test sets it, shrinks the worker's
+	// resident-session capacity (unset = 0 = the server default).
+	resident, _ := strconv.Atoi(os.Getenv("ROUTER_E2E_RESIDENT"))
+	s, err := server.NewWithOptions(server.Options{WALDir: dir, MaxSessions: resident})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e2e worker:", err)
 		os.Exit(1)

@@ -73,7 +73,7 @@ func TestCompactionCheckpointsAndTruncates(t *testing.T) {
 	// Restore across eviction reproduces the state: snapshot plus short tail.
 	before := sessionRead(t, ts.URL, rr.Session)
 	postJSON(t, ts.URL+"/reason", `{"app":"stress-simple","scenario":true}`, nil) // evict via MaxSessions=1? no: capacity default
-	s.sessions.Remove(rr.Session)                                                 // drop the handle without the eviction hook: simulate crash
+	s.table.forget(rr.Session)                                                    // drop the handle without the eviction hook: simulate crash
 	after := sessionRead(t, ts.URL, rr.Session)
 	if after.Epoch != before.Epoch || strings.Join(after.Answers, "\n") != strings.Join(before.Answers, "\n") {
 		t.Errorf("restored state differs:\nbefore %+v\nafter  %+v", before, after)
@@ -105,7 +105,7 @@ func TestEvictionSnapshotSkipsFullReplay(t *testing.T) {
 	// retirement barrier, but this test reads the file directly, so it
 	// drains the queue first.
 	postJSON(t, ts.URL+"/reason", `{"app":"stress-simple","scenario":true}`, nil)
-	s.drainRetirements()
+	s.table.waitRetirements()
 	h, err := snapshot.ReadHeader(filepath.Join(dir, rr.Session+".snap"))
 	if err != nil {
 		t.Fatalf("eviction wrote no snapshot: %v", err)
@@ -140,9 +140,9 @@ func TestCorruptSnapshotFallsBackToFullReplay(t *testing.T) {
 	before := sessionRead(t, ts.URL, rr.Session)
 
 	// Retire through the eviction hook so a snapshot lands, then corrupt it.
-	sess, _ := s.sessions.Get(rr.Session)
+	sess := s.resident(rr.Session)
 	s.retire(sess)
-	s.sessions.Remove(rr.Session)
+	s.table.forget(rr.Session)
 	snapPath := filepath.Join(dir, rr.Session+".snap")
 	data, err := os.ReadFile(snapPath)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestSnapshotHandoffAcrossServers(t *testing.T) {
 	if n := sA.SnapshotAll(); n != 1 {
 		t.Fatalf("SnapshotAll wrote %d snapshots, want 1", n)
 	}
-	if sA.session(rr.Session) != nil {
+	if sA.resident(rr.Session) != nil {
 		t.Fatal("session still live after drain")
 	}
 

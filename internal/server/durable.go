@@ -20,10 +20,10 @@ import (
 )
 
 // This file is the durable half of the write path: per-session WAL wiring
-// (log-before-apply hooks for the group committer) and transparent session
-// restore — an evicted or crash-lost session with a WAL on disk is rebuilt
-// to byte-identical state the next time /facts, /explain or a session-read
-// /reason names it, instead of answering 404.
+// (log-before-apply hooks for the group committer) and the session table's
+// restore callback — an evicted or crash-lost session with durable state is
+// rebuilt to byte-identical state the next time /facts, /explain or a
+// session-read /reason names it, instead of answering 404.
 
 // programFingerprint identifies a compiled program in WAL headers: replay
 // refuses to resurrect a session against different rules.
@@ -59,49 +59,63 @@ func scanWALDir(dir string) int {
 	return max
 }
 
-// newSession builds a live session around a group committer wired to this
-// server: lazy maintainer stand-up, log-before-apply, abort records, and
-// publication of each applied batch to the session's read state. With a
+// newSession builds a live session around a fresh chase result. With a
 // WAL directory configured the session's log is created eagerly — header
 // first, durable before the session id is handed out — so read-only
 // sessions survive eviction and restarts too (restore re-chases their
 // logged base), not just mutated ones.
 func (s *Server) newSession(id, app string, extra []ast.Atom, res *chase.Result) (*session, error) {
-	sess := &session{id: id, app: app, extra: extra, result: res, syncWAL: s.logSync}
+	sess := &session{id: id, app: app, extra: extra, result: res}
 	if s.walDir != "" {
-		l, err := wal.Create(s.walPath(id), wal.Header{
-			App:     app,
-			Program: s.fingerprints[app],
-			Base:    extra,
-		}, s.walSync)
-		if err != nil {
+		if err := s.createWAL(sess, 0); err != nil {
 			// Durability was promised (a WAL dir is configured) but is
 			// unavailable: fail the session rather than silently running
 			// volatile.
 			return nil, fmt.Errorf("session WAL: %w", err)
 		}
+	}
+	s.wire(sess, nil, 0)
+	return sess, nil
+}
+
+// createWAL (re)creates the session's log, header durable, as a log whose
+// first delta will be startSeq+1, and makes it the session's handle.
+func (s *Server) createWAL(sess *session, startSeq uint64) error {
+	l, err := wal.Create(s.walPath(sess.id), wal.Header{
+		App:      sess.app,
+		Program:  s.fingerprints[sess.app],
+		Base:     sess.extra,
+		StartSeq: startSeq,
+	}, s.walSync)
+	if err == nil {
 		sess.setWAL(l)
 	}
+	return err
+}
+
+// wire gives a session its write path — the one place a group committer is
+// built, for new and restored sessions alike: log-before-apply, abort
+// records, publication of each applied batch, and the maintainer (a restored
+// session brings its rebuilt one; a new session's m is nil and stands up on
+// the first write with one full chase over its opening facts). startSeq is
+// the last commit epoch the state already holds.
+func (s *Server) wire(sess *session, m *incremental.Maintainer, startSeq uint64) {
+	sess.epoch = startSeq
+	sess.syncWAL = s.logSync
 	sess.cmt = core.NewCommitter(core.CommitterConfig{
 		Queue:        s.writeQueue,
 		Window:       s.commitWindow,
 		ApplyTimeout: s.timeout,
+		StartSeq:     startSeq,
+		Maintainer:   m,
 		ApplyLock:    &sess.renderMu,
-		Standup:      s.standup(sess),
-		OnLog:        sess.onLog,
-		OnAbort:      sess.onAbort,
-		OnApply:      s.onApply(sess),
+		Standup: func(ctx context.Context) (*incremental.Maintainer, error) {
+			return s.pipe(sess.app).MaintainContext(ctx, sess.extra...)
+		},
+		OnLog:   sess.onLog,
+		OnAbort: sess.onAbort,
+		OnApply: s.onApply(sess),
 	})
-	return sess, nil
-}
-
-// standup returns the committer's lazy maintainer factory for a fresh
-// session: one full chase over the session's opening facts on the first
-// write.
-func (s *Server) standup(sess *session) func(context.Context) (*incremental.Maintainer, error) {
-	return func(ctx context.Context) (*incremental.Maintainer, error) {
-		return s.pipe(sess.app).MaintainContext(ctx, sess.extra...)
-	}
 }
 
 // logSync flushes one session log after a commit. Under the group policy
@@ -183,199 +197,168 @@ func (s *Server) onApply(sess *session) func(uint64, *chase.Result, incremental.
 	}
 }
 
-// restoreFlight is one in-progress restore in the per-session singleflight
-// table: the leader publishes sess/err and closes done; followers wait on
-// done instead of replaying the same session twice.
-type restoreFlight struct {
-	done chan struct{}
-	sess *session
-	err  error
-}
-
-// restore rebuilds an evicted (or crash-lost) session from its durable
-// state. Restores of distinct sessions run in parallel — the snapshot+tail
-// rebuild is session-local — while concurrent requests naming one session
-// share a single restore through the per-session singleflight table (only
-// the table itself and the session-store insert are coordinated). Returns
-// (nil, nil) when the session has no durable state at all — the caller
-// answers 404 exactly as before.
-func (s *Server) restore(ctx context.Context, id string) (*session, error) {
+// restoreSession rebuilds an evicted (or crash-lost) session from its
+// durable state. It is the session table's restore callback: it runs at
+// most once per session at a time, outside every server-wide lock (distinct
+// sessions restore in parallel), after any retirement of the session has
+// finished with the files. It returns (nil, nil) when the session has no
+// durable state at all: the caller answers 404.
+func (s *Server) restoreSession(ctx context.Context, id string) (*session, error) {
 	if s.walDir == "" {
 		return nil, nil
-	}
-	for {
-		s.restoreMu.Lock()
-		if sess := s.session(id); sess != nil {
-			s.restoreMu.Unlock()
-			return sess, nil // raced with another restorer: done
-		}
-		if f, ok := s.restoring[id]; ok {
-			s.restoreMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, chase.ContextErr(ctx)
-			}
-			if f.err != nil && chase.IsCancellation(f.err) && ctx.Err() == nil {
-				// The leader died of its own request's cancellation, not of
-				// bad durable state; this request is still live, so take
-				// over the restore.
-				continue
-			}
-			return f.sess, f.err
-		}
-		f := &restoreFlight{done: make(chan struct{})}
-		s.restoring[id] = f
-		s.restoreMu.Unlock()
-
-		f.sess, f.err = s.restoreSession(ctx, id)
-		if f.err == nil && f.sess != nil {
-			// Publish to the session table before retiring the flight, so a
-			// request arriving in between finds either the flight or the
-			// live session — never a gap that would start a second restore.
-			s.sessions.Put(id, f.sess)
-		}
-		s.restoreMu.Lock()
-		delete(s.restoring, id)
-		s.restoreMu.Unlock()
-		close(f.done)
-		return f.sess, f.err
-	}
-}
-
-// restoreSession is one session's actual rebuild; it runs outside every
-// server-wide lock (the singleflight table guarantees it runs at most once
-// per session at a time). It prefers the session's snapshot: deserialize
-// the engine (byte-identical to the checkpointed state) and replay only
-// the short WAL tail past the snapshot epoch. Without a usable snapshot it
-// falls back to a full WAL replay — header base plus every committed delta
-// — unless the log was compacted (StartSeq > 0), in which case the prefix
-// is gone and the restore fails loudly instead of rebuilding partial
-// state. A pending background retirement of the same session is waited out
-// first: the retirer is still producing the very files this restore reads.
-func (s *Server) restoreSession(ctx context.Context, id string) (*session, error) {
-	if err := s.waitRetirement(ctx, id); err != nil {
-		return nil, err
 	}
 	if s.testHookRestore != nil {
 		s.testHookRestore(id)
 	}
 	start := time.Now()
-	snapHdr, payload, snapErr := snapshot.Read(s.snapPath(id))
-	if snapErr == nil {
-		sess, err := s.restoreFromSnapshot(ctx, id, snapHdr, payload)
-		if err != nil {
-			return nil, fmt.Errorf("restoring session %s: %w", id, err)
-		}
+	sess, err := s.rebuild(ctx, id)
+	if err != nil {
+		return nil, fmt.Errorf("restoring session %s: %w", id, err)
+	}
+	if sess != nil {
 		s.restores.Add(1)
-		s.snapshotRestores.Add(1)
 		d := time.Since(start)
 		s.restoreNanos.Add(uint64(d))
 		s.restoreHist.observe(d)
-		return sess, nil
 	}
-	if !os.IsNotExist(snapErr) {
-		s.logf("server: session %s: snapshot unusable (%v); falling back to full WAL replay", id, snapErr)
-	}
-	rec, err := wal.Replay(s.walPath(id))
-	if os.IsNotExist(err) {
-		if !os.IsNotExist(snapErr) {
-			return nil, fmt.Errorf("restoring session %s: snapshot unusable (%v) and no WAL", id, snapErr)
-		}
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("restoring session %s: %w", id, err)
-	}
-	if rec.Header.StartSeq > 0 {
-		return nil, fmt.Errorf("restoring session %s: WAL is a tail starting at epoch %d and the snapshot it depends on is unusable (%v)",
-			id, rec.Header.StartSeq, snapErr)
-	}
-	pipe := s.pipe(rec.Header.App)
-	if pipe == nil {
-		return nil, fmt.Errorf("restoring session %s: unknown application %q", id, rec.Header.App)
-	}
-	if got, want := rec.Header.Program, s.fingerprints[rec.Header.App]; got != want {
-		return nil, fmt.Errorf("restoring session %s: program fingerprint changed (log %s, compiled %s)", id, got, want)
-	}
-	deltas := rec.Live()
-	m, bad, err := s.replay(ctx, pipe, rec.Header.Base, deltas)
-	if err != nil {
-		return nil, fmt.Errorf("restoring session %s: %w", id, err)
-	}
-	log, err := rec.OpenAppend(s.walSync)
-	if err != nil {
-		return nil, fmt.Errorf("restoring session %s: %w", id, err)
-	}
-	// A delta that failed during replay was the poisoning write of the
-	// previous life, crashed before its abort record landed; mark it now so
-	// the next replay skips it outright.
-	if bad != 0 {
-		_ = log.AppendAbort(bad)
-		_ = log.Sync()
-	}
-	res, err := m.Result()
-	if err != nil {
-		_ = log.Close()
-		return nil, fmt.Errorf("restoring session %s: %w", id, err)
-	}
-	sess := &session{id: id, app: rec.Header.App, extra: rec.Header.Base, result: res, epoch: rec.LastSeq(), syncWAL: s.logSync}
-	sess.setWAL(log)
-	sess.cmt = core.NewCommitter(core.CommitterConfig{
-		Queue:        s.writeQueue,
-		Window:       s.commitWindow,
-		ApplyTimeout: s.timeout,
-		StartSeq:     rec.LastSeq(),
-		Maintainer:   m,
-		ApplyLock:    &sess.renderMu,
-		OnLog:        sess.onLog,
-		OnAbort:      sess.onAbort,
-		OnApply:      s.onApply(sess),
-	})
-	s.restores.Add(1)
-	d := time.Since(start)
-	s.restoreNanos.Add(uint64(d))
-	s.restoreHist.observe(d)
 	return sess, nil
 }
 
-// replay rebuilds a maintainer by applying the committed deltas in order.
-// The incremental engine is deterministic, so the rebuilt instance is
-// byte-identical — same atoms, same fact ids, same proofs — to the state
-// the session had after its last acknowledged commit. A delta that fails
-// mid-replay can only be the final one (its failure poisoned or crashed the
-// previous life, and nothing committed after it); the maintainer is rebuilt
-// once more without it and its seq is reported for an abort record.
-func (s *Server) replay(ctx context.Context, pipe *core.Pipeline, base []ast.Atom, deltas []wal.Delta) (*incremental.Maintainer, uint64, error) {
-	m, err := pipe.MaintainContext(ctx, base...)
-	if err != nil {
-		return nil, 0, err
+// rebuild is one session's actual restore. It prefers the snapshot:
+// deserialize the engine (byte-identical to the checkpointed state — same
+// fact ids, proofs and aggregation state) and replay only the committed
+// deltas past the snapshot epoch. A missing or unreadable log next to a
+// good snapshot is the compaction crash window (the snapshot was durable
+// before the log rewrite); the tail log is recreated empty at the snapshot
+// epoch. Without a usable snapshot it falls back to a full WAL replay —
+// header base plus every committed delta — unless the log was compacted
+// (StartSeq > 0), in which case the prefix is gone and the restore fails
+// loudly instead of rebuilding partial state.
+func (s *Server) rebuild(ctx context.Context, id string) (*session, error) {
+	snap, payload, snapErr := snapshot.Read(s.snapPath(id))
+	rec, walErr := wal.Replay(s.walPath(id))
+	fromSnap := snapErr == nil
+	app, program := snap.App, snap.Program
+	switch {
+	case fromSnap:
+	case os.IsNotExist(walErr) && os.IsNotExist(snapErr):
+		return nil, nil
+	case os.IsNotExist(walErr):
+		return nil, fmt.Errorf("snapshot unusable (%v) and no WAL", snapErr)
+	case walErr != nil:
+		return nil, walErr
+	case rec.Header.StartSeq > 0:
+		return nil, fmt.Errorf("WAL is a tail starting at epoch %d and the snapshot it depends on is unusable (%v)",
+			rec.Header.StartSeq, snapErr)
+	default:
+		if !os.IsNotExist(snapErr) {
+			s.logf("server: session %s: snapshot unusable (%v); falling back to full WAL replay", id, snapErr)
+		}
+		app, program = rec.Header.App, rec.Header.Program
 	}
-	for i, d := range deltas {
-		if _, _, err := m.UpdateContext(ctx, d.Add, d.Retract); err != nil {
-			if i != len(deltas)-1 {
-				return nil, 0, fmt.Errorf("replay: delta %d/%d failed before the tail: %w", i+1, len(deltas), err)
+	pipe := s.pipe(app)
+	if pipe == nil {
+		return nil, fmt.Errorf("unknown application %q", app)
+	}
+	if want := s.fingerprints[app]; program != want {
+		return nil, fmt.Errorf("program fingerprint changed (durable %s, compiled %s)", program, want)
+	}
+	var (
+		extra   []ast.Atom
+		deltas  []wal.Delta
+		lastSeq = snap.Epoch
+	)
+	if walErr == nil {
+		extra = rec.Header.Base
+		for _, d := range rec.Live() {
+			if d.Seq > snap.Epoch {
+				deltas = append(deltas, d)
 			}
-			m, err2 := s.replayClean(ctx, pipe, base, deltas[:i])
-			if err2 != nil {
-				return nil, 0, err2
-			}
-			return m, d.Seq, nil
+		}
+		if l := rec.LastSeq(); l > lastSeq {
+			lastSeq = l
 		}
 	}
-	return m, 0, nil
-}
-
-// replayClean rebuilds a maintainer over deltas known to apply cleanly.
-func (s *Server) replayClean(ctx context.Context, pipe *core.Pipeline, base []ast.Atom, deltas []wal.Delta) (*incremental.Maintainer, error) {
-	m, err := pipe.MaintainContext(ctx, base...)
+	base := func() (*incremental.Maintainer, error) { return pipe.MaintainContext(ctx, extra...) }
+	if fromSnap {
+		base = func() (*incremental.Maintainer, error) {
+			live, err := chase.RestoreLive(pipe.Program(), s.chaseOpts, payload)
+			if err != nil {
+				return nil, fmt.Errorf("snapshot state: %w", err)
+			}
+			return incremental.FromLive(live), nil
+		}
+	}
+	m, bad, err := replayTail(ctx, base, deltas)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range deltas {
-		if _, _, err := m.UpdateContext(ctx, d.Add, d.Retract); err != nil {
-			return nil, fmt.Errorf("replay: delta failed on clean rebuild: %w", err)
+	res, err := m.Result()
+	if err != nil {
+		return nil, err
+	}
+	sess := &session{id: id, app: app, extra: extra, result: res}
+	if walErr == nil {
+		var log *wal.Log
+		if log, err = rec.OpenAppend(s.walSync); err != nil {
+			return nil, err
+		}
+		if bad != 0 {
+			// The poisoning write of the previous life, crashed before its
+			// abort record landed; mark it now so the next replay skips it.
+			_ = log.AppendAbort(bad)
+			_ = log.Sync()
+		}
+		sess.setWAL(log)
+	} else {
+		if !os.IsNotExist(walErr) {
+			s.logf("server: session %s: WAL unreadable next to a good snapshot (%v); recreating tail log at epoch %d", id, walErr, snap.Epoch)
+		}
+		if err := s.createWAL(sess, snap.Epoch); err != nil {
+			return nil, err
 		}
 	}
-	return m, nil
+	if fromSnap {
+		s.snapshotRestores.Add(1)
+		s.tailReplays.Add(uint64(len(deltas)))
+	}
+	s.wire(sess, m, lastSeq)
+	return sess, nil
+}
+
+// replayTail builds a maintainer with base and applies the committed deltas
+// in order. The incremental engine is deterministic, so the result is
+// byte-identical — same atoms, fact ids and proofs — to the state after the
+// session's last acknowledged commit. A delta that fails can only be the
+// final one (its failure poisoned or crashed the previous life, and nothing
+// committed after it): the maintainer is built once more without it and its
+// seq is returned for an abort record. A failure anywhere else, on the clean
+// rebuild, or by cancellation (which says nothing about the delta) is an
+// error.
+func replayTail(ctx context.Context, base func() (*incremental.Maintainer, error), deltas []wal.Delta) (*incremental.Maintainer, uint64, error) {
+	var bad uint64
+	for {
+		m, err := base()
+		if err != nil {
+			return nil, 0, err
+		}
+		failed := -1
+		for i, d := range deltas {
+			if _, _, err = m.UpdateContext(ctx, d.Add, d.Retract); err != nil {
+				failed = i
+				break
+			}
+		}
+		switch {
+		case failed < 0:
+			return m, bad, nil
+		case chase.IsCancellation(err):
+			return nil, 0, err
+		case bad != 0:
+			return nil, 0, fmt.Errorf("replay: delta failed on clean rebuild: %w", err)
+		case failed != len(deltas)-1:
+			return nil, 0, fmt.Errorf("replay: delta %d/%d failed before the tail end: %w", failed+1, len(deltas), err)
+		}
+		bad, deltas = deltas[failed].Seq, deltas[:failed]
+	}
 }

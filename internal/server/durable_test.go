@@ -44,7 +44,7 @@ func TestSessionRestoreAfterEviction(t *testing.T) {
 		if resp := postJSON(t, ts.URL+"/reason", `{"app":"stress-simple","scenario":true}`, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("evicting session open failed")
 		}
-		if s.session(rr.Session) != nil {
+		if s.resident(rr.Session) != nil {
 			t.Fatal("session survived eviction")
 		}
 	}
@@ -272,7 +272,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("session read after restart: status = %d", resp.StatusCode)
 	}
-	sess := s2.session(session)
+	sess := s2.resident(session)
 	if sess == nil {
 		t.Fatal("session not in table after restore")
 	}

@@ -196,7 +196,7 @@ func TestSessionBusy429(t *testing.T) {
 	ts, s := newTestServerFull(t, Options{WriteQueue: 1})
 	var rr reasonResponse
 	postJSON(t, ts.URL+"/reason", `{"app":"company-control","facts":"Own(\"X\",\"Y\",0.6)."}`, &rr)
-	sess := s.session(rr.Session)
+	sess := s.resident(rr.Session)
 	if sess == nil {
 		t.Fatal("session not found")
 	}

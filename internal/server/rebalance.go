@@ -10,9 +10,7 @@ package server
 //	                 WAL handle closed, so another worker can restore it
 //	                 without racing this process
 //	POST /prewarm    {"sessions": [...]} — restore each named session ahead
-//	                 of first touch (through the same per-session
-//	                 singleflight as on-demand restore, so live traffic
-//	                 racing the prewarm simply joins it)
+//	                 of first touch (live traffic racing it joins it)
 //
 // The protocol is release-then-prewarm per batch: the old owner's handles
 // are closed before the new owner opens them, which keeps two processes
@@ -55,67 +53,64 @@ type prewarmResponse struct {
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	resp := sessionListResponse{Sessions: s.sessions.Keys()}
-	if resp.Sessions == nil {
-		resp.Sessions = []string{}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, sessionListResponse{Sessions: s.table.keys()})
 }
 
-// handleRelease checkpoints and releases the named sessions: resident
-// ones leave the session table through the eviction path — the
-// retirement is registered atomically with the removal, so a concurrent
-// restore of the same id blocks on it instead of racing the in-flight
-// retire — and ones already in a background retirement are waited out.
-// Either way, when a 200 arrives every named session this worker held is
-// durable with its WAL handle closed, safe for another process to
-// restore. If any wait is cut short (request canceled or timed out) the
-// handler answers 503: a retirement may still be running, so the caller
-// must not let another worker open the session's files yet.
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
+// eachSession is the body /release and /prewarm share: decode the id set,
+// refuse without a WAL directory (why says what that rules out), and run f
+// for every id, at most rebalanceWorkers at a time. False: already answered.
+func (s *Server) eachSession(w http.ResponseWriter, r *http.Request, why string, f func(id string)) bool {
 	var req sessionSetRequest
 	if !decodeJSON(w, r, &req) {
-		return
+		return false
 	}
 	if s.walDir == "" {
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("no WAL directory: sessions are volatile and cannot be handed off"))
-		return
+		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("no WAL directory: %s", why))
+		return false
 	}
-	var (
-		released atomic.Int64
-		wg       sync.WaitGroup
-		slots    = make(chan struct{}, rebalanceWorkers)
-		errMu    sync.Mutex
-		waitErr  error
-	)
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, rebalanceWorkers)
 	for _, id := range req.Sessions {
 		wg.Add(1)
 		slots <- struct{}{}
 		go func(id string) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			// Evict runs the retirement hooks exactly like a capacity
-			// eviction: registration under the cache lock, then the
-			// (possibly queued) quiesce-checkpoint-close.
-			evicted := s.sessions.Evict(id)
-			// Whether this request triggered the retirement or one was
-			// already in flight, the release promise only holds once the
-			// files are final.
-			if err := s.waitRetirement(r.Context(), id); err != nil {
-				errMu.Lock()
-				if waitErr == nil {
-					waitErr = fmt.Errorf("session %s: %w", id, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			if evicted {
-				released.Add(1)
-			}
+			f(id)
 		}(id)
 	}
 	wg.Wait()
+	return true
+}
+
+// handleRelease checkpoints and releases the named sessions through the
+// session table: resident ones are retired, ones already retiring are
+// waited out, and one whose restore is in flight is waited for and then
+// retired. When a 200 arrives every named session this worker held is
+// durable with its WAL handle closed, safe for another process to restore.
+// If any wait is cut short (request canceled or timed out) the handler
+// answers 503: a retirement may still be running, so the caller must not
+// let another worker open the session's files yet.
+func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var (
+		released atomic.Int64
+		errMu    sync.Mutex
+		waitErr  error
+	)
+	if !s.eachSession(w, r, "sessions are volatile and cannot be handed off", func(id string) {
+		ok, err := s.table.release(r.Context(), id)
+		if err != nil {
+			errMu.Lock()
+			if waitErr == nil {
+				waitErr = fmt.Errorf("session %s: %w", id, err)
+			}
+			errMu.Unlock()
+		} else if ok {
+			released.Add(1)
+		}
+	}) {
+		return
+	}
 	s.releases.Add(uint64(released.Load()))
 	if waitErr != nil {
 		writeError(w, http.StatusServiceUnavailable,
@@ -126,51 +121,31 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePrewarm restores the named sessions ahead of first touch. Each
-// restore goes through the per-session singleflight, so a live request
-// racing the prewarm shares the work instead of duplicating it; sessions
-// already resident count as restored. Failures are per-session and
-// non-fatal — a session that cannot prewarm simply restores (or 404s) on
-// first touch as before.
+// restore goes through the session table, so a live request racing the
+// prewarm shares the work instead of duplicating it; sessions already
+// resident count as restored. Failures are per-session and non-fatal — a
+// session that cannot prewarm simply restores (or 404s) on first touch.
 func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
-	var req sessionSetRequest
-	if !decodeJSON(w, r, &req) {
+	var restored, failed atomic.Int64
+	if !s.eachSession(w, r, "nothing to prewarm from", func(id string) {
+		ctx := r.Context()
+		if s.timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.timeout)
+			defer cancel()
+		}
+		sess, err := s.table.acquire(ctx, id)
+		if err != nil {
+			s.logf("server: prewarm %s: %v", id, err)
+		}
+		if sess == nil {
+			failed.Add(1)
+		} else {
+			restored.Add(1)
+		}
+	}) {
 		return
 	}
-	if s.walDir == "" {
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("no WAL directory: nothing to prewarm from"))
-		return
-	}
-	var (
-		restored, failed atomic.Int64
-		wg               sync.WaitGroup
-		slots            = make(chan struct{}, rebalanceWorkers)
-	)
-	for _, id := range req.Sessions {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(id string) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			ctx := r.Context()
-			if s.timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.timeout)
-				defer cancel()
-			}
-			sess, err := s.restore(ctx, id)
-			switch {
-			case err != nil:
-				s.logf("server: prewarm %s: %v", id, err)
-				failed.Add(1)
-			case sess == nil:
-				failed.Add(1)
-			default:
-				restored.Add(1)
-			}
-		}(id)
-	}
-	wg.Wait()
 	s.prewarms.Add(uint64(restored.Load()))
 	writeJSON(w, http.StatusOK, prewarmResponse{
 		Restored: int(restored.Load()),

@@ -42,7 +42,7 @@ func TestRebalanceControlPlane(t *testing.T) {
 		t.Errorf("released = %d, want 2", rel.Released)
 	}
 	for _, id := range ids {
-		if s.session(id) != nil {
+		if s.resident(id) != nil {
 			t.Errorf("session %s still resident after release", id)
 		}
 		if _, err := os.Stat(s.snapPath(id)); err != nil {
@@ -66,7 +66,7 @@ func TestRebalanceControlPlane(t *testing.T) {
 		t.Errorf("prewarm = %+v, want restored 2 failed 1", pre)
 	}
 	for i, id := range ids {
-		if s.session(id) == nil {
+		if s.resident(id) == nil {
 			t.Errorf("session %s not resident after prewarm", id)
 			continue
 		}
@@ -225,7 +225,7 @@ func TestReleaseAbortsOnCanceledWait(t *testing.T) {
 	// Unpark the retirement and drain it before the temp dir is cleaned up.
 	defer func() {
 		close(finish)
-		s.drainRetirements()
+		s.table.waitRetirements()
 	}()
 	handler := s.Handler()
 

@@ -198,7 +198,7 @@ func TestAsyncRetirementDoesNotBlockEviction(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("eviction returned but no background retirement started")
 	}
-	if n := s.pendingRetirements(); n != 1 {
+	if n := s.table.retiringNow(); n != 1 {
 		t.Errorf("pending retirements = %d, want 1", n)
 	}
 	t.Logf("evicting request returned in %v with checkpoint still in flight", evictLatency)
@@ -268,7 +268,7 @@ func TestSnapshotAllWaitsForRetirements(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("SnapshotAll never returned after the retirement finished")
 	}
-	if n := s.pendingRetirements(); n != 0 {
+	if n := s.table.retiringNow(); n != 0 {
 		t.Errorf("pending retirements after SnapshotAll = %d, want 0", n)
 	}
 }

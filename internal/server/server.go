@@ -21,11 +21,11 @@
 //
 // # Serving caches
 //
-// The server is a bounded memoization layer over the pipeline: sessions
-// live in an LRU (capacity Options.MaxSessions) so state cannot grow
-// without bound under heavy traffic, rendered explanation responses are
-// memoized per (session, query) in a second LRU (Options.MaxExplanations),
-// and every pipeline runs with the core result cache and explanation memo
+// The server is a bounded memoization layer over the pipeline: at most
+// Options.MaxSessions sessions are resident (least recently used out first)
+// so state cannot grow without bound, rendered explanation responses are
+// memoized per (session, query) in an LRU (Options.MaxExplanations), and
+// every pipeline runs with the core result cache and explanation memo
 // enabled, so identical /reason payloads share one chase run and repeated
 // /explain queries skip proof extraction, mapping and verbalization.
 // Cached responses are byte-identical to uncached ones — every cached
@@ -60,6 +60,13 @@
 // base facts and every committed delta, and a request naming an evicted
 // session replays it back to byte-identical state (same atoms, fact ids and
 // proofs — the incremental engine is deterministic) instead of 404.
+//
+// Where a session is — absent, restoring, resident or retiring — is
+// recorded in exactly one place, the session table (table.go): handlers
+// resolve ids through acquire, new sessions enter through insert, and
+// capacity eviction, POST /release and shutdown all leave through the same
+// retirement. The server supplies the two callbacks that touch disk,
+// restoreSession and retire.
 package server
 
 import (
@@ -90,10 +97,8 @@ import (
 type Server struct {
 	// pipes is immutable after construction.
 	pipes map[string]*core.Pipeline
-	// sessions is the bounded session store: least recently used sessions
-	// are evicted at capacity (their immutable chase results are shared
-	// with the pipeline result cache, so eviction only drops the handle).
-	sessions *lru.Cache[string, *session]
+	// table says which sessions are restoring, resident or retiring.
+	table *sessionTable
 	// explanations memoizes rendered /explain responses per
 	// (session, query). Responses are immutable once cached.
 	explanations *lru.Cache[string, *explainResponse]
@@ -121,28 +126,10 @@ type Server struct {
 	// policy (nil otherwise): concurrent sessions' commit windows share
 	// flush rounds instead of each paying a serialized fsync.
 	syncBatcher *wal.SyncBatcher
-	// restoreMu guards restoring, the per-session singleflight table of WAL
-	// session restores. The snapshot+tail rebuild is session-local, so
-	// restores of distinct sessions run in parallel; concurrent requests
-	// naming one session share a single restore. restores, restoreNanos and
-	// restoreHist account them for /stats.
-	restoreMu    sync.Mutex
-	restoring    map[string]*restoreFlight
+	// restores, restoreNanos and restoreHist account restores for /stats.
 	restores     atomic.Uint64
 	restoreNanos atomic.Uint64
 	restoreHist  latencyHist
-	// Retirement queue: eviction hands the quiesce-checkpoint-close work of
-	// the evicted session to a bounded set of background retirers, so the
-	// unrelated request that tipped the session store over capacity does not
-	// pay the snapshot encode + fsync tail. retireMu guards retiring (the
-	// pending-retirement table restore and drain wait on) and retireClosed;
-	// retireSlots is the concurrency bound (nil = retire synchronously).
-	retireMu      sync.Mutex
-	retiring      map[string]*retirement
-	retireClosed  bool
-	retireSlots   chan struct{}
-	asyncRetires  atomic.Uint64
-	inlineRetires atomic.Uint64
 	// Rebalance control-plane counters: sessions handed off through
 	// POST /release and warmed through POST /prewarm.
 	releases atomic.Uint64
@@ -189,14 +176,12 @@ type Server struct {
 	// publication — tests use it to pin the commit leader so writes pile
 	// up in the queue deterministically.
 	testHookApply func()
-	// testHookRestore, when set, runs inside every session restore after the
-	// singleflight slot is claimed — tests use it to hold N distinct
-	// restores in flight at once, proving they no longer serialize.
+	// testHookRestore, when set, runs inside every session restore — tests
+	// use it to hold N distinct restores in flight at once.
 	testHookRestore func(id string)
-	// testHookRetire, when set, runs inside every background retirement
-	// before the session is quiesced — tests use it to pin retirements so
-	// the drain barrier and the restore-waits-for-retirement path are
-	// exercised deterministically.
+	// testHookRetire, when set, runs inside every retirement before the
+	// session is quiesced — tests use it to pin retirements so the drain
+	// barrier and the restore-waits-for-retirement path run deterministically.
 	testHookRetire func(id string)
 }
 
@@ -281,14 +266,6 @@ const (
 	// DefaultMaxInflight bounds concurrent reasoning requests; the 65th
 	// answers 503 immediately instead of queueing.
 	DefaultMaxInflight = 64
-	// DefaultRetireQueue bounds concurrent background session retirements
-	// (the eviction-path checkpoint work); evictions past the bound retire
-	// inline as backpressure. One slot is deliberate: it takes the
-	// snapshot encode + fsync off the evicting request's latency path,
-	// but under churn a wider queue lets concurrent retirement fsyncs
-	// compete with the commit path's group fsyncs and regresses the
-	// write tail (~2x write p99 at depth 4 in the 100k-session harness).
-	DefaultRetireQueue = 1
 )
 
 // DefaultRequestTimeout is the per-request reasoning deadline: a chase (or
@@ -302,10 +279,10 @@ type Options struct {
 	// request (chase.Options.Workers): 0 = sequential, negative = all
 	// cores. Responses are identical at any setting.
 	ChaseWorkers int
-	// MaxSessions bounds the session store; at capacity the least
-	// recently used session is evicted and later /explain calls against
-	// it answer 404. 0 selects DefaultMaxSessions; negative values are
-	// clamped to 1.
+	// MaxSessions bounds the resident sessions; at capacity the least
+	// recently used one is retired: checkpointed and restored by the next
+	// request naming it with a WAL directory, gone (404) without. 0 selects
+	// DefaultMaxSessions; negative values are clamped to 1.
 	MaxSessions int
 	// MaxExplanations bounds the rendered-explanation cache. 0 selects
 	// DefaultMaxExplanations; negative values are clamped to 1.
@@ -356,14 +333,6 @@ type Options struct {
 	// exceeds this size. 0 disables size-based compaction. Ignored without
 	// WALDir.
 	CompactBytes int64
-	// RetireQueue bounds concurrent background session retirements (the
-	// eviction-path committer quiesce + snapshot encode + fsync): an
-	// eviction queues its retirement and returns immediately; past the
-	// bound it falls back to retiring inline, so a retirement backlog
-	// becomes eviction backpressure instead of a goroutine pile-up. 0
-	// selects DefaultRetireQueue; negative values retire synchronously
-	// inside the eviction hook (the pre-queue behavior).
-	RetireQueue int
 	// Log receives panic reports and lifecycle messages; nil selects the
 	// process-default logger.
 	Log *log.Logger
@@ -396,12 +365,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	case opts.RequestTimeout < 0:
 		opts.RequestTimeout = 0
 	}
-	switch {
-	case opts.RetireQueue == 0:
-		opts.RetireQueue = DefaultRetireQueue
-	case opts.RetireQueue < 0:
-		opts.RetireQueue = 0
-	}
 	logger := opts.Log
 	if logger == nil {
 		logger = log.Default()
@@ -410,10 +373,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 		pipes:          map[string]*core.Pipeline{},
 		fingerprints:   map[string]string{},
 		assigned:       map[string]bool{},
-		sessions:       lru.New[string, *session](opts.MaxSessions),
 		explanations:   lru.New[string, *explainResponse](opts.MaxExplanations),
-		restoring:      map[string]*restoreFlight{},
-		retiring:       map[string]*retirement{},
 		inflight:       make(chan struct{}, opts.MaxInflight),
 		timeout:        opts.RequestTimeout,
 		walDir:         opts.WALDir,
@@ -428,9 +388,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 	if opts.WALDir != "" && opts.WALSync == wal.SyncGroup {
 		s.syncBatcher = wal.NewSyncBatcher()
 	}
-	if opts.RetireQueue > 0 {
-		s.retireSlots = make(chan struct{}, opts.RetireQueue)
-	}
+	s.table = newSessionTable(opts.MaxSessions, s.restoreSession, s.retire)
 	for _, a := range apps.All() {
 		p, err := a.Pipeline(core.Config{
 			Chase:                chase.Options{Workers: opts.ChaseWorkers, MaxFacts: opts.MaxFacts},
@@ -451,17 +409,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 		// WAL files, and a collision would truncate a restorable session.
 		s.nextID = scanWALDir(s.walDir)
 	}
-	// Eviction quiesces the session and checkpoints its fixpoint to the
-	// snapshot file before releasing the write-path resources (commit
-	// queue, WAL handle), so evicting a mutated session never discards work
-	// a restore would have to replay; the files stay on disk for restore.
-	// The work itself runs on the bounded retirement queue — the request
-	// that caused the eviction does not wait for the checkpoint. The
-	// retirement is registered under the cache lock, atomically with the
-	// removal, so a restore that misses the session table always finds the
-	// retirement entry to wait on.
-	s.sessions.OnEvictLocked(func(id string, sess *session) { s.registerRetirement(id) })
-	s.sessions.OnEvict(func(id string, sess *session) { s.retireEvicted(id, sess) })
 	return s, nil
 }
 
@@ -545,13 +492,9 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if q := r.URL.Query().Get("epoch"); q != "" {
-		e, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("epoch: %w", err))
-			return
-		}
-		req.Epoch = e
+	var ok bool
+	if req.Epoch, ok = queryEpoch(w, r, req.Epoch); !ok {
+		return
 	}
 	if req.Session != "" {
 		s.handleSessionRead(w, r, req)
@@ -608,13 +551,33 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.sessions.Put(id, sess)
+	s.table.insert(id, sess)
 
-	resp := reasonResponse{Session: id, Rounds: res.Rounds, Facts: res.Store.Len()}
+	writeJSON(w, http.StatusOK, reasonResponse{Session: id, Rounds: res.Rounds, Facts: res.Store.Len(), Answers: answers(res)})
+}
+
+// answers renders a result's answer facts; for a live session's result the
+// caller read-holds its renderMu.
+func answers(res *chase.Result) []string {
+	var out []string
 	for _, fid := range res.Answers() {
-		resp.Answers = append(resp.Answers, res.Store.Get(fid).String())
+		out = append(out, res.Store.Get(fid).String())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
+}
+
+// queryEpoch reads the optional ?epoch= parameter, def when absent. On a
+// malformed value the response is already written.
+func queryEpoch(w http.ResponseWriter, r *http.Request, def uint64) (uint64, bool) {
+	q := r.URL.Query().Get("epoch")
+	if q == "" {
+		return def, true
+	}
+	e, err := strconv.ParseUint(q, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("epoch: %w", err))
+	}
+	return e, err == nil
 }
 
 // handleSessionRead answers a /reason request naming an existing session:
@@ -625,19 +588,13 @@ func (s *Server) handleSessionRead(w http.ResponseWriter, r *http.Request, req r
 		writeError(w, http.StatusBadRequest, fmt.Errorf("a session read takes no app, facts or scenario"))
 		return
 	}
-	sess, ok := s.liveSession(w, r.Context(), req.Session)
+	sess, ok := s.sessionAt(w, r.Context(), req.Session, req.Epoch)
 	if !ok {
-		return
-	}
-	if !s.awaitEpoch(w, r.Context(), sess, req.Epoch) {
 		return
 	}
 	res, epoch := sess.read()
 	sess.renderMu.RLock()
-	resp := reasonResponse{Session: req.Session, Epoch: epoch, Rounds: res.Rounds, Facts: res.Store.LiveLen()}
-	for _, fid := range res.Answers() {
-		resp.Answers = append(resp.Answers, res.Store.Get(fid).String())
-	}
+	resp := reasonResponse{Session: req.Session, Epoch: epoch, Rounds: res.Rounds, Facts: res.Store.LiveLen(), Answers: answers(res)}
 	sess.renderMu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -675,13 +632,13 @@ func isGeneratedID(id string) bool {
 	return true
 }
 
-// claimID reserves a client-assigned session id, refusing ids that are
-// live, were ever assigned in this process, or left durable state on disk
+// claimID reserves a client-assigned session id, refusing ids that were
+// ever assigned in this process (live or not) or left durable state on disk
 // in a previous one.
 func (s *Server) claimID(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.assigned[id] || s.session(id) != nil {
+	if s.assigned[id] {
 		return false
 	}
 	if s.walDir != "" {
@@ -696,46 +653,51 @@ func (s *Server) claimID(id string) bool {
 	return true
 }
 
-// liveSession resolves a session id, transparently restoring evicted
-// sessions from their WAL; on failure the response is already written.
+// liveSession resolves a session id through the session table,
+// transparently restoring evicted sessions from their durable state; on
+// failure the response is already written.
 func (s *Server) liveSession(w http.ResponseWriter, ctx context.Context, id string) (*session, bool) {
-	if sess := s.session(id); sess != nil {
+	sess, err := s.table.acquire(ctx, id)
+	switch {
+	case err == nil && sess != nil:
 		return sess, true
-	}
-	sess, err := s.restore(ctx, id)
-	if err != nil {
-		if chase.ContextErr(ctx) != nil {
-			s.writeEngineError(w, err)
-		} else {
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return nil, false
-	}
-	if sess == nil {
+	case err == nil:
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown session"))
-		return nil, false
+	case errors.Is(err, errTableClosed):
+		writeError(w, http.StatusServiceUnavailable, err)
+	case chase.ContextErr(ctx) != nil:
+		s.writeEngineError(w, err)
+	default:
+		writeError(w, http.StatusInternalServerError, err)
 	}
-	return sess, true
+	return nil, false
 }
 
-// awaitEpoch blocks until the session has applied the requested commit
-// epoch (0 = no wait). Unissued epochs answer 409; a request deadline
-// expiring mid-wait answers through the engine-error mapping (408/499). On
-// failure the response is already written.
-func (s *Server) awaitEpoch(w http.ResponseWriter, ctx context.Context, sess *session, epoch uint64) bool {
-	if epoch == 0 {
-		return true
-	}
-	if err := sess.cmt.WaitApplied(ctx, epoch); err != nil {
+// sessionAt resolves a session id to its live session with commit epoch
+// `epoch` applied (0 = no wait). Unissued epochs answer 409; a deadline
+// expiring mid-wait answers through the engine-error mapping (408/499). A
+// committer that closes under the wait means the session was retired after
+// this request resolved it: its state is intact on disk, so resolve it
+// again. On failure the response is already written.
+func (s *Server) sessionAt(w http.ResponseWriter, ctx context.Context, id string, epoch uint64) (*session, bool) {
+	for {
+		sess, ok := s.liveSession(w, ctx, id)
+		if !ok || epoch == 0 {
+			return sess, ok
+		}
+		err := sess.cmt.WaitApplied(ctx, epoch)
 		switch {
-		case errors.Is(err, core.ErrEpochUnknown), errors.Is(err, core.ErrCommitterClosed):
+		case err == nil:
+			return sess, true
+		case errors.Is(err, core.ErrCommitterClosed):
+			continue
+		case errors.Is(err, core.ErrEpochUnknown):
 			writeError(w, http.StatusConflict, err)
 		default:
 			s.writeEngineError(w, err)
 		}
-		return false
+		return nil, false
 	}
-	return true
 }
 
 // factsRequest is the /facts payload: base facts to add and retract, in
@@ -777,10 +739,6 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	sess, ok := s.liveSession(w, r.Context(), req.Session)
-	if !ok {
-		return
-	}
 	parseFacts := func(field, src string) ([]ast.Atom, bool) {
 		if src == "" {
 			return nil, true
@@ -805,8 +763,25 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	// coalesce into one logged, applied batch, and this request observes
 	// the shared commit epoch and result. The apply itself runs detached
 	// from r.Context() under the server timeout — a client hanging up
-	// abandons only its wait, never a repair in progress.
-	res, err := sess.cmt.Submit(r.Context(), add, retract, req.Async)
+	// abandons only its wait, never a repair in progress. A closed
+	// committer means the session was retired after this request resolved
+	// it; a write refused that way was never logged (Submit rejects before
+	// enqueueing, a stopping leader fails its queue before committing), so
+	// it is resubmitted to the session resolved anew, within the deadline.
+	var (
+		sess *session
+		res  *core.CommitResult
+		err  error
+	)
+	for {
+		if sess, ok = s.liveSession(w, r.Context(), req.Session); !ok {
+			return
+		}
+		res, err = sess.cmt.Submit(r.Context(), add, retract, req.Async)
+		if !errors.Is(err, core.ErrCommitterClosed) {
+			break
+		}
+	}
 	if err != nil {
 		if errors.Is(err, core.ErrQueueFull) {
 			s.sessionBusy.Add(1)
@@ -830,9 +805,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		Facts:                   res.Result.Store.LiveLen(),
 		Batch:                   res.Batch,
 		InvalidatedExplanations: res.Invalidated,
-	}
-	for _, fid := range res.Result.Answers() {
-		resp.Answers = append(resp.Answers, res.Result.Store.Get(fid).String())
+		Answers:                 answers(res.Result),
 	}
 	sess.renderMu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
@@ -859,24 +832,18 @@ type proofStep struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	sessionID := r.URL.Query().Get("session")
-	sess, ok := s.liveSession(w, r.Context(), sessionID)
-	if !ok {
-		return
-	}
 	query := r.URL.Query().Get("query")
 	if query == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing query parameter"))
 		return
 	}
-	if q := r.URL.Query().Get("epoch"); q != "" {
-		e, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("epoch: %w", err))
-			return
-		}
-		if !s.awaitEpoch(w, r.Context(), sess, e) {
-			return
-		}
+	waitFor, ok := queryEpoch(w, r, 0)
+	if !ok {
+		return
+	}
+	sess, ok := s.sessionAt(w, r.Context(), sessionID, waitFor)
+	if !ok {
+		return
 	}
 	// Session ids are never reused and the session's epoch is part of the
 	// key, so a cached rendering can only ever repeat a response this exact
@@ -927,8 +894,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // statsResponse is the /stats payload: serving-layer cache accounting plus
 // per-application pipeline cache stats.
 type statsResponse struct {
-	// Sessions accounts the bounded session store.
-	Sessions lru.Stats `json:"sessions"`
+	// Sessions accounts the session table: lookups, capacity evictions and
+	// per-state occupancy.
+	Sessions tableStats `json:"sessions"`
 	// Explanations accounts the rendered-explanation cache.
 	Explanations lru.Stats `json:"explanations"`
 	// Apps maps application name to its pipeline cache stats (reasoning
@@ -968,7 +936,7 @@ type writePathStats struct {
 	// RestoreLatency summarizes per-restore wall time (log-bucket
 	// histogram: quantiles are bucket upper bounds, the max is exact).
 	RestoreLatency latencySummary `json:"restoreLatency"`
-	// Retirements accounts the eviction retirement queue.
+	// Retirements accounts session retirements (eviction, release, drain).
 	Retirements retireStats `json:"retirements"`
 	// Released counts sessions checkpointed and handed off through
 	// POST /release; Prewarmed counts sessions restored ahead of first
@@ -984,17 +952,6 @@ type writePathStats struct {
 	// of restored snapshots (the short tails).
 	SnapshotRestores uint64 `json:"snapshotRestores"`
 	TailReplays      uint64 `json:"tailReplays"`
-}
-
-// retireStats is the /stats retirement-queue section.
-type retireStats struct {
-	// Async counts retirements completed by background retirers; Inline
-	// counts evictions that retired synchronously (queue saturated, queue
-	// disabled, or server closing).
-	Async  uint64 `json:"async"`
-	Inline uint64 `json:"inline"`
-	// Pending is the number of retirements queued or running right now.
-	Pending int `json:"pending"`
 }
 
 // incrementalStats is the /stats incremental-maintenance section.
@@ -1037,8 +994,9 @@ type requestStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	sessions, retirements := s.table.stats()
 	resp := statsResponse{
-		Sessions:     s.sessions.Stats(),
+		Sessions:     sessions,
 		Explanations: s.explanations.Stats(),
 		Apps:         map[string]core.CacheStats{},
 		Incremental: incrementalStats{
@@ -1060,16 +1018,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Draining:    s.draining.Load(),
 		},
 		WritePath: writePathStats{
-			Commit:         core.GlobalCommitStats(),
-			WAL:            wal.GlobalStats(),
-			Restores:       s.restores.Load(),
-			RestoreMillis:  s.restoreNanos.Load() / uint64(time.Millisecond),
-			RestoreLatency: s.restoreHist.summary(),
-			Retirements: retireStats{
-				Async:   s.asyncRetires.Load(),
-				Inline:  s.inlineRetires.Load(),
-				Pending: s.pendingRetirements(),
-			},
+			Commit:           core.GlobalCommitStats(),
+			WAL:              wal.GlobalStats(),
+			Restores:         s.restores.Load(),
+			RestoreMillis:    s.restoreNanos.Load() / uint64(time.Millisecond),
+			RestoreLatency:   s.restoreHist.summary(),
+			Retirements:      retirements,
 			Released:         s.releases.Load(),
 			Prewarmed:        s.prewarms.Load(),
 			Compactions:      s.compactions.Load(),
@@ -1115,11 +1069,6 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 // construction so no locking is needed.
 func (s *Server) pipe(name string) *core.Pipeline {
 	return s.pipes[name]
-}
-
-func (s *Server) session(id string) *session {
-	sess, _ := s.sessions.Get(id)
-	return sess
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
