@@ -40,13 +40,15 @@
 // executors visit candidates in ascending fact-id order, and the columnar
 // runs are sorted by (value, dense position) with dense position equal to
 // bucket rank (see batch.go for the full determinism contract) — so facts,
-// ids, step order, premises and substitutions are byte-identical whichever
-// is chosen, and Substitutions are materialized only at the emission
-// boundary. Result.JoinStats reports the choices made. The differential
-// suites pin each strategy in turn and compare it against two reference
-// implementations kept for that purpose only: a sequential interpreter that
-// joins with map-based substitutions, and naive evaluation, which re-joins
-// every rule against the whole store every round.
+// ids, step order, premises and bindings are byte-identical whichever is
+// chosen. A step records its homomorphism as the executor's own frame of
+// interned ids under a per-rule layout (Bindings, bindings.go); names are
+// resolved only when a step is rendered. Result.JoinStats reports the
+// choices made. The differential suites pin each strategy in turn and
+// compare it against two reference implementations kept for that purpose
+// only: a sequential interpreter that joins with map-based substitutions,
+// and naive evaluation, which re-joins every rule against the whole store
+// every round.
 //
 // Optionally the join phase is parallel: Options.Workers > 1 fans the
 // read-only join phase of each rule evaluation out over a worker pool
@@ -89,8 +91,8 @@ type Contribution struct {
 	Value term.Term
 	// Sub is the full body homomorphism of this contributor, binding the
 	// contributor-varying variables (e.g. the individual debtor and loan
-	// amount of one exposure) that the group-level substitution omits.
-	Sub term.Substitution
+	// amount of one exposure) that the step's own bindings omit.
+	Sub Bindings
 }
 
 // Derivation records one chase step: how a fact was derived.
@@ -108,10 +110,10 @@ type Derivation struct {
 	// Contributors is non-empty exactly for aggregation rules: one entry
 	// per contributing homomorphism.
 	Contributors []Contribution
-	// Sub is the substitution of the chase step. For aggregation rules it
+	// Sub is the homomorphism of the chase step. For aggregation rules it
 	// binds the group variables and the aggregate target; contributor-only
 	// variables are not included.
-	Sub term.Substitution
+	Sub Bindings
 }
 
 // IsAggregation reports whether the step applied an aggregation rule.

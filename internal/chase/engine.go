@@ -147,9 +147,15 @@ type engine struct {
 	// keyByID caches the canonical key bytes of interned values and emitBuf
 	// is the reusable atom-key buffer — both serve the batch executor's
 	// vectorized emission path (emitCols), which deduplicates derived rows
-	// against the store without materializing atoms or substitutions.
+	// against the store without materializing atoms or bindings.
 	keyByID [][]byte
 	emitBuf []byte
+	// idSlab and termSlab are the storage recorded bindings are carved from
+	// (bindings.go); stepBuf and nullBuf are emission scratch for the
+	// computed values of a step before it is known to derive a new fact.
+	idSlab           []term.ValueID
+	termSlab         []term.Term
+	stepBuf, nullBuf []term.Term
 	// ctx is the run's cancellation context; nil means none (see context.go
 	// for the checkpoint placement and the state left after a cancel).
 	ctx context.Context
@@ -158,7 +164,7 @@ type engine struct {
 // aggGroup is the accumulated state of one aggregation group.
 type aggGroup struct {
 	key     string
-	sub     term.Substitution // bindings of the group variables
+	bind    Bindings // the group variables, under the plan's groupLay
 	contrib []Contribution
 	seen    map[string]bool // contributor identity (premise fact ids)
 }
@@ -194,10 +200,11 @@ func (e *engine) round(rules []*ast.Rule) (bool, error) {
 }
 
 // binding is one body homomorphism together with the matched facts in
-// body-atom order. The legacy engine materializes the substitution directly
-// (sub); the compiled engine carries the flat slot frame (frame for
-// atom-bound variables as interned ids, vals for assignment targets) and
-// converts to a substitution only at the emission boundary via bindingSub.
+// body-atom order: the flat slot frame of the rule's plan (frame for
+// atom-bound variables as interned ids, vals for assignment targets). The
+// map-based joins — the reference interpreter and Rederive — build sub
+// instead and convert it to a frame when they hand the binding on
+// (fromSub).
 type binding struct {
 	sub   term.Substitution
 	frame []term.ValueID
@@ -219,24 +226,24 @@ func (e *engine) planFor(r *ast.Rule) (*plan, error) {
 	return p, nil
 }
 
-// bindingSub converts a binding to the substitution the emission path,
-// provenance record, and aggregation contributors expose. Legacy bindings
-// already carry it; compiled bindings are converted here — the single
-// frame→Substitution boundary.
-func (e *engine) bindingSub(r *ast.Rule, b binding) term.Substitution {
-	if b.sub != nil {
-		return b.sub
-	}
-	p := e.plans[r]
+// fromSub converts a map-based homomorphism to the plan's layout. Every
+// layout variable the substitution binds is kept, in layout order, so a
+// Rederive seed carries its existential nulls along; atom-bound terms come
+// from stored facts and resolve to their dictionary ids.
+func (e *engine) fromSub(p *plan, sub term.Substitution) Bindings {
 	in := e.store.Interner()
-	sub := make(term.Substitution, p.nslots+p.nvals)
+	b := Bindings{lay: p.lay, ids: make([]term.ValueID, p.nslots)}
 	for i, name := range p.slotNames {
-		sub[name] = in.Value(b.frame[i])
+		b.ids[i] = in.Intern(sub[name])
 	}
-	for i, name := range p.valNames {
-		sub[name] = b.vals[i]
+	for _, name := range p.lay.names[p.nslots:] {
+		t, ok := sub[name]
+		if !ok {
+			break
+		}
+		b.terms = append(b.terms, t)
 	}
-	return sub
+	return b
 }
 
 // atomFilter restricts which facts an atom position may match during
@@ -266,19 +273,18 @@ type joinUnit struct {
 // order either way. Batch passes of rules with a compiled head layout hand
 // their leaf columns to the vectorized emission path unless wantBindings.
 func (e *engine) joinUnits(r *ast.Rule, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
+	p, err := e.planFor(r)
+	if err != nil {
+		return nil, err
+	}
 	var binds []binding
-	var err error
-	if e.tune.legacy {
-		binds, err = e.joinLegacy(r, semi, boundary)
-	} else {
-		var p *plan
-		if p, err = e.planFor(r); err != nil {
-			return nil, err
-		}
-		if e.chooseBatch(p, semi, boundary) {
-			e.batchJoins++
-			return e.joinBatchUnits(p, semi, boundary, wantBindings || p.head == nil)
-		}
+	switch {
+	case e.tune.legacy:
+		binds, err = e.joinLegacy(p, semi, boundary)
+	case e.chooseBatch(p, semi, boundary):
+		e.batchJoins++
+		return e.joinBatchUnits(p, semi, boundary, wantBindings || p.head == nil)
+	default:
 		e.frameJoins++
 		if e.workers > 1 {
 			binds, err = e.joinFrameParallel(p, semi, boundary)
@@ -328,8 +334,10 @@ func (e *engine) joinBindings(r *ast.Rule, semi bool, boundary database.FactID) 
 }
 
 // joinLegacy is the reference join: the sequential map-based interpreter the
-// compiled executors are differentially tested against (tuning.legacy).
-func (e *engine) joinLegacy(r *ast.Rule, semi bool, boundary database.FactID) ([]binding, error) {
+// compiled executors are differentially tested against (tuning.legacy). It
+// reads the plan only to hand its bindings on as frames.
+func (e *engine) joinLegacy(p *plan, semi bool, boundary database.FactID) ([]binding, error) {
+	r := p.rule
 	var all []binding
 	if !semi {
 		all = e.joinAtoms(r, nil, nil)
@@ -341,7 +349,15 @@ func (e *engine) joinLegacy(r *ast.Rule, semi bool, boundary database.FactID) ([
 	if len(all) == 0 {
 		return nil, nil
 	}
-	return e.finishBindings(r, all)
+	all, err := e.finishBindings(r, all)
+	if err != nil {
+		return nil, err
+	}
+	for i := range all {
+		b := e.fromSub(p, all[i].sub)
+		all[i] = binding{frame: b.ids, vals: b.terms, facts: all[i].facts}
+	}
+	return all, nil
 }
 
 // pivotFilter is the semi-naive admission rule for one pivot decomposition:
@@ -548,10 +564,11 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 		}
 		return false, err
 	}
+	p := e.plans[r]
 	changed := false
 	for _, u := range units {
 		if u.cols != nil {
-			c, err := e.emitCols(r, e.plans[r], u.cols)
+			c, err := e.emitCols(r, p, u.cols)
 			if err != nil {
 				return false, err
 			}
@@ -559,7 +576,7 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 			continue
 		}
 		for _, b := range u.binds {
-			bsub := e.bindingSub(r, b)
+			bind := Bindings{lay: p.lay, ids: b.frame, terms: b.vals}
 			// Restricted chase: when the head has existential variables, the
 			// step is pre-empted if some existing fact already satisfies the
 			// head pattern under the current bindings (existential positions
@@ -567,17 +584,14 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 			// fresh null every round and never reach a fixpoint. MatchAny
 			// stops at the first witness instead of materializing the full
 			// match list.
-			if hasExistential(r, bsub) {
-				pattern := r.Head.Apply(bsub)
-				if e.store.MatchAny(pattern) {
-					continue
-				}
+			if len(p.exist) > 0 && e.store.MatchAny(bind.ground(r.Head)) {
+				continue
 			}
-			head, sub, err := e.instantiateHead(r, bsub)
+			head, bind, err := e.instantiateHead(r, p, bind)
 			if err != nil {
 				return false, err
 			}
-			added, err := e.emit(r, head, b.facts, nil, sub)
+			added, err := e.emit(r, head, b.facts, nil, bind)
 			if err != nil {
 				return false, err
 			}
@@ -611,8 +625,8 @@ func (e *engine) idKey(id term.ValueID) []byte {
 // from cached per-value key bytes, and skips duplicates with a single
 // allocation-free map read (Store.LookupKey) — emit's Add would return
 // added=false and record nothing, so skipping is byte-identical. Only rows
-// that actually insert materialize the atom, row, substitution, premises,
-// and derivation, via the store's pre-keyed fast path (Store.AddKeyed).
+// that actually insert materialize the atom, row, bindings, premises, and
+// derivation, via the store's pre-keyed fast path (Store.AddKeyed).
 func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 	hp := p.head
 	in := e.store.Interner()
@@ -666,12 +680,12 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 			e.emitBuf = buf
 			return false, err
 		}
-		sub := make(term.Substitution, p.nslots+p.nvals)
-		for s, name := range p.slotNames {
-			sub[name] = in.Value(st.slots[s][i])
+		bind := Bindings{lay: p.lay, ids: e.carveIDs(p.nslots), terms: e.carveTerms(p.nvals)}
+		for s := range bind.ids {
+			bind.ids[s] = st.slots[s][i]
 		}
-		for v, name := range p.valNames {
-			sub[name] = st.vals[v][i]
+		for v := range bind.terms {
+			bind.terms[v] = st.vals[v][i]
 		}
 		premises := make([]database.FactID, nb)
 		for a := 0; a < nb; a++ {
@@ -682,7 +696,7 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 			Rule:     r,
 			Fact:     f.ID,
 			Premises: premises,
-			Sub:      sub,
+			Sub:      bind,
 		}
 		e.steps = append(e.steps, d)
 		e.derivs[f.ID] = append(e.derivs[f.ID], d)
@@ -745,7 +759,7 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 	}
 
 	g := r.Aggregation
-	groupVars := aggGroupVars(r)
+	p := e.plans[r]
 	groups := e.aggGroups[r]
 	if groups == nil {
 		groups = map[string]*aggGroup{}
@@ -756,10 +770,10 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		touched[key] = true
 	}
 	for _, b := range bindings {
-		key := e.groupKeyOf(r, groupVars, b)
+		key := e.groupKeyOf(p, b)
 		gr, ok := groups[key]
 		if !ok {
-			gr = &aggGroup{key: key, sub: e.groupSub(r, groupVars, b), seen: map[string]bool{}}
+			gr = &aggGroup{key: key, bind: e.groupBindings(p, b), seen: map[string]bool{}}
 			groups[key] = gr
 			e.aggOrder[r] = append(e.aggOrder[r], key)
 		}
@@ -772,11 +786,12 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 			continue
 		}
 		gr.seen[ident] = true
-		val, bound := e.bindingValue(r, b, g.Over)
+		val, bound := e.overValue(p, b)
 		if !bound {
 			return false, fmt.Errorf("aggregation %s: variable %s unbound", g, g.Over)
 		}
-		gr.contrib = append(gr.contrib, Contribution{Premises: b.facts, Value: val, Sub: e.bindingSub(r, b)})
+		sub := e.keep(Bindings{lay: p.lay, ids: b.frame, terms: b.vals})
+		gr.contrib = append(gr.contrib, Contribution{Premises: b.facts, Value: val, Sub: sub})
 		touched[key] = true
 	}
 
@@ -795,17 +810,15 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		sub := gr.sub.Clone()
-		if !sub.Bind(g.Target, total) {
-			return false, fmt.Errorf("aggregation %s: target already bound", g)
-		}
+		e.stepBuf = append(append(e.stepBuf[:0], gr.bind.terms...), total)
+		bind := Bindings{lay: p.aggLay, ids: gr.bind.ids, terms: e.stepBuf}
 		// Deferred conditions (those mentioning the target).
 		ok := true
 		for _, c := range r.Conditions {
 			if !mentions(c, g.Target) {
 				continue
 			}
-			holds, err := c.Holds(sub)
+			holds, err := bind.holds(c)
 			if err != nil {
 				return false, err
 			}
@@ -817,12 +830,12 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		if !ok {
 			continue
 		}
-		head, sub, err := e.instantiateHead(r, sub)
+		head, bind, err := e.instantiateHead(r, p, bind)
 		if err != nil {
 			return false, err
 		}
 		premises := dedupFacts(live)
-		added, err := e.emitAgg(r, key, head, premises, live, sub, total)
+		added, err := e.emitAgg(r, key, head, premises, live, bind, total)
 		if err != nil {
 			return false, err
 		}
@@ -893,45 +906,17 @@ func aggGroupVars(r *ast.Rule) []string {
 // with canonical-key equality, so the partition (and, with binding order,
 // the aggOrder discovery order) is identical to the previous string keys.
 
-// groupKeyOf builds the group key of one binding. Both engines produce the
-// same partition; the byte encodings differ only in how a term is reached
-// (slot id vs. dictionary lookup).
-func (e *engine) groupKeyOf(r *ast.Rule, groupVars []string, b binding) string {
+// groupKeyOf builds the group key of one binding.
+func (e *engine) groupKeyOf(p *plan, b binding) string {
 	buf := e.keyBuf[:0]
-	in := e.store.Interner()
-	if b.sub != nil {
-		assigned := map[string]bool{}
-		for _, as := range r.Assignments {
-			assigned[as.Target] = true
-		}
-		for _, v := range groupVars {
-			t, ok := b.sub[v]
-			switch {
-			case !ok:
-				buf = append(buf, 0xff)
-			case assigned[v]:
-				buf = appendKeyPart(buf, t)
-			default:
-				// Atom-bound terms come from interned fact rows, so the
-				// lookup always succeeds and the id is round-stable.
-				if id, found := in.Lookup(t); found {
-					buf = appendIDPart(buf, id)
-				} else {
-					buf = appendKeyPart(buf, t)
-				}
-			}
-		}
-	} else {
-		p := e.plans[r]
-		for _, ref := range p.groupRefs {
-			switch ref.kind {
-			case refSlot:
-				buf = appendIDPart(buf, b.frame[ref.idx])
-			case refVal:
-				buf = appendKeyPart(buf, b.vals[ref.idx])
-			default:
-				buf = append(buf, 0xff)
-			}
+	for _, ref := range p.groupRefs {
+		switch ref.kind {
+		case refSlot:
+			buf = appendIDPart(buf, b.frame[ref.idx])
+		case refVal:
+			buf = appendKeyPart(buf, b.vals[ref.idx])
+		default:
+			buf = append(buf, 0xff)
 		}
 	}
 	e.keyBuf = buf
@@ -948,50 +933,26 @@ func appendKeyPart(buf []byte, t term.Term) []byte {
 	return append(buf, 0)
 }
 
-// groupSub binds the group variables of one binding (the group-level part of
-// the homomorphism stored on the aggregation group).
-func (e *engine) groupSub(r *ast.Rule, groupVars []string, b binding) term.Substitution {
-	sub := term.Substitution{}
-	if b.sub != nil {
-		for _, v := range groupVars {
-			if t, bound := b.sub[v]; bound {
-				sub[v] = t
-			}
-		}
-		return sub
+// groupBindings records the group variables of one binding: the group-level
+// part of the homomorphism, kept on the aggregation group.
+func (e *engine) groupBindings(p *plan, b binding) Bindings {
+	bind := Bindings{lay: p.groupLay, ids: e.carveIDs(len(p.groupSlots)), terms: e.carveTerms(len(p.groupVals))}
+	for i, s := range p.groupSlots {
+		bind.ids[i] = b.frame[s]
 	}
-	p := e.plans[r]
-	in := e.store.Interner()
-	for _, ref := range p.groupRefs {
-		switch ref.kind {
-		case refSlot:
-			sub[ref.name] = in.Value(b.frame[ref.idx])
-		case refVal:
-			sub[ref.name] = b.vals[ref.idx]
-		}
+	for i, v := range p.groupVals {
+		bind.terms[i] = b.vals[v]
 	}
-	return sub
+	return bind
 }
 
-// bindingValue resolves one variable of a binding (the aggregated variable
-// at accumulation time) without materializing the whole substitution.
-func (e *engine) bindingValue(r *ast.Rule, b binding, name string) (term.Term, bool) {
-	if b.sub != nil {
-		t, ok := b.sub[name]
-		return t, ok
-	}
-	p := e.plans[r]
-	switch ref := p.overRef; {
-	case ref.name == name && ref.kind == refSlot:
+// overValue resolves the aggregated variable of a binding.
+func (e *engine) overValue(p *plan, b binding) (term.Term, bool) {
+	switch ref := p.overRef; ref.kind {
+	case refSlot:
 		return e.store.Interner().Value(b.frame[ref.idx]), true
-	case ref.name == name && ref.kind == refVal:
+	case refVal:
 		return b.vals[ref.idx], true
-	}
-	if i, ok := p.slotOf[name]; ok {
-		return e.store.Interner().Value(b.frame[i]), true
-	}
-	if i, ok := p.valOf[name]; ok {
-		return b.vals[i], true
 	}
 	return term.Term{}, false
 }
@@ -1058,43 +1019,30 @@ func aggregate(fn ast.AggFunc, contrib []Contribution) (term.Term, error) {
 	return term.Float(acc), nil
 }
 
-// hasExistential reports whether the rule head contains variables unbound
-// under sub (i.e. existentially quantified head variables).
-func hasExistential(r *ast.Rule, sub term.Substitution) bool {
-	for _, v := range r.Head.Variables() {
-		if _, ok := sub[v]; !ok {
-			return true
-		}
-	}
-	return false
-}
-
-// instantiateHead grounds the head under the substitution, inventing
-// labelled nulls for existential variables.
-func (e *engine) instantiateHead(r *ast.Rule, sub term.Substitution) (ast.Atom, term.Substitution, error) {
-	out := sub
-	extended := false
-	for _, v := range r.Head.Variables() {
-		if _, ok := out[v]; !ok {
-			if !extended {
-				out = out.Clone()
-				extended = true
-			}
+// instantiateHead grounds the head under the bindings, binding each
+// existential variable of the plan to a fresh labelled null. The returned
+// bindings are still transient: emit keeps them if the step fires.
+func (e *engine) instantiateHead(r *ast.Rule, p *plan, bind Bindings) (ast.Atom, Bindings, error) {
+	if len(p.exist) > 0 {
+		e.nullBuf = append(e.nullBuf[:0], bind.terms...)
+		for range p.exist {
 			e.nullSeq++
-			out[v] = term.Null("z" + strconv.Itoa(e.nullSeq))
+			e.nullBuf = append(e.nullBuf, term.Null("z"+strconv.Itoa(e.nullSeq)))
 		}
+		bind.terms = e.nullBuf
 	}
-	head := r.Head.Apply(out)
+	head := bind.ground(r.Head)
 	if !head.IsGround() {
-		return ast.Atom{}, nil, fmt.Errorf("head %v not ground after instantiation", head)
+		return ast.Atom{}, Bindings{}, fmt.Errorf("head %v not ground after instantiation", head)
 	}
-	return head, out, nil
+	return head, bind, nil
 }
 
 // emit adds a derived fact with its derivation. Chase steps whose conclusion
 // already exists are pre-empted (no new fact, no new step); the derivation
-// is still recorded as an alternative proof if it is the fact's first.
-func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, contrib []Contribution, sub term.Substitution) (bool, error) {
+// is still recorded as an alternative proof if it is the fact's first. The
+// bindings may point at scratch; the recorded step keeps a copy.
+func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, contrib []Contribution, bind Bindings) (bool, error) {
 	if e.store.Len() >= e.maxFacts {
 		return false, fmt.Errorf("fact limit %d exceeded", e.maxFacts)
 	}
@@ -1111,7 +1059,7 @@ func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, co
 		Fact:         f.ID,
 		Premises:     premises,
 		Contributors: contrib,
-		Sub:          sub,
+		Sub:          e.keep(bind),
 	}
 	e.steps = append(e.steps, d)
 	e.derivs[f.ID] = append(e.derivs[f.ID], d)
@@ -1120,13 +1068,13 @@ func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, co
 
 // emitAgg emits an aggregation result and supersedes the rule's previous
 // emission for the same group when the total changed.
-func (e *engine) emitAgg(r *ast.Rule, groupKey string, head ast.Atom, premises []database.FactID, contrib []Contribution, sub term.Substitution, total term.Term) (bool, error) {
+func (e *engine) emitAgg(r *ast.Rule, groupKey string, head ast.Atom, premises []database.FactID, contrib []Contribution, bind Bindings, total term.Term) (bool, error) {
 	stateKey := r.Label + "\x00" + groupKey
 	if prev, ok := e.aggState[stateKey]; ok && prev.value.Equal(total) {
 		return false, nil
 	}
 	existing := e.store.Lookup(head)
-	added, err := e.emit(r, head, premises, contrib, sub)
+	added, err := e.emit(r, head, premises, contrib, bind)
 	if err != nil {
 		return false, err
 	}

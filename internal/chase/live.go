@@ -154,12 +154,8 @@ func newEngine(p *ast.Program, opts Options) *engine {
 // already holds every constant and no new id is assigned.
 func (e *engine) live(opts Options) (*Live, error) {
 	p := e.prog
-	if !e.tune.legacy { // the reference interpreter reads rules directly
-		for _, r := range p.Rules {
-			if _, err := e.planFor(r); err != nil {
-				return nil, fmt.Errorf("rule %s: %w", r.Label, err)
-			}
-		}
+	if err := e.compileRules(); err != nil {
+		return nil, err
 	}
 	// Stratify: rules are evaluated stratum by stratum so that negated
 	// predicates are fully saturated before any rule reads them.
@@ -201,6 +197,18 @@ func (l *Live) SetContext(ctx context.Context) {
 		ctx = nil
 	}
 	l.e.ctx = ctx
+}
+
+// compileRules compiles every rule's plan. Plans also carry the layouts of
+// recorded bindings, so the reference interpreter needs them too, and a
+// restore compiles them before it decodes the first step.
+func (e *engine) compileRules() error {
+	for _, r := range e.prog.Rules {
+		if _, err := e.planFor(r); err != nil {
+			return fmt.Errorf("rule %s: %w", r.Label, err)
+		}
+	}
+	return nil
 }
 
 // existentialRules returns the rules whose head mentions a variable not
@@ -372,7 +380,7 @@ func (l *Live) Rederive(a ast.Atom) (bool, error) {
 			if r.Head.Apply(b.sub).Key() != a.Key() {
 				continue
 			}
-			if _, err := e.emit(r, a, b.facts, nil, b.sub); err != nil {
+			if _, err := e.emit(r, a, b.facts, nil, e.fromSub(e.plans[r], b.sub)); err != nil {
 				return false, fmt.Errorf("chase: rederive %v: rule %s: %w", a.Display(), r.Label, err)
 			}
 			return true, nil
@@ -433,7 +441,7 @@ func (l *Live) InvalidatedByNegation() []database.FactID {
 		}
 		blocked := false
 		for _, na := range d.Rule.Negated {
-			for _, id := range e.store.Match(na.Apply(d.Sub)) {
+			for _, id := range e.store.Match(d.Sub.ground(na)) {
 				if !e.superseded[id] {
 					blocked = true
 					break
@@ -478,7 +486,7 @@ func (l *Live) RevalidateNegatedContributors(gained map[string]bool) []database.
 			for _, c := range gr.contrib {
 				blocked := false
 				for _, na := range r.Negated {
-					for _, id := range e.store.Match(na.Apply(c.Sub)) {
+					for _, id := range e.store.Match(c.Sub.ground(na)) {
 						if !e.superseded[id] {
 							blocked = true
 							break

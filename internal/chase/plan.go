@@ -33,9 +33,10 @@ package chase
 // never finishes may be filtered — or fail — earlier here. Both engines
 // still fail deterministically on such programs.
 //
-// A frame is converted back to a term.Substitution only at the emission
-// boundary (engine.bindingSub), so provenance, aggregation grouping,
-// mapping, and core see exactly the data they saw before the refactor.
+// Emission records a frame as it is: the step's Bindings keep the id slots
+// and value slots under the plan's layout (bindings.go), so provenance holds
+// interned ids and names are resolved only when a step is rendered or
+// written to a snapshot.
 
 import (
 	"fmt"
@@ -81,13 +82,24 @@ type plan struct {
 	// orders[p] is the compiled evaluation order for semi-naive pivot p;
 	// orders[0] is also the plain body order used by full joins.
 	orders []*orderedPlan
-	// existential reports whether the head has variables no slot binds
-	// (the restricted-chase pre-emption check applies).
-	existential bool
+	// exist are the existential head variables — bound by no slot — in
+	// head order: each emission binds them to fresh labelled nulls, and a
+	// rule with any is subject to the restricted chase's pre-emption check.
+	exist []string
 	// Aggregation support: the aggregated variable and the group-by
 	// variables resolved to slots (nil for non-aggregation rules).
 	overRef   slotRef
 	groupRefs []slotRef
+	// Recorded-bindings layouts (bindings.go). lay serves plain steps (id
+	// slots, value slots, existential nulls) and aggregation contributors
+	// (id slots, value slots). groupLay holds an aggregation group's
+	// variables — groupSlots and groupVals pick them out of a frame — and
+	// aggLay an aggregation step's: the group's, the target, the nulls.
+	lay        *layout
+	groupLay   *layout
+	aggLay     *layout
+	groupSlots []int
+	groupVals  []int
 	// head is the vectorized-emission layout of the head atom (nil when the
 	// rule is existential or aggregating — those emit per binding).
 	head *headPlan
@@ -117,7 +129,7 @@ type headPart struct {
 // emission) and aggregation rules (target bound at group level) keep the
 // per-binding path.
 func (p *plan) compileHead(r *ast.Rule, in *term.Interner) {
-	if p.existential || r.Aggregation != nil {
+	if len(p.exist) > 0 || r.Aggregation != nil {
 		return
 	}
 	hp := &headPlan{pred: r.Head.Predicate}
@@ -273,13 +285,28 @@ func compilePlan(r *ast.Rule, in *term.Interner) (*plan, error) {
 		if r.Aggregation != nil && v == r.Aggregation.Target {
 			continue
 		}
-		p.existential = true
+		p.exist = append(p.exist, v)
 	}
 	if g := r.Aggregation; g != nil {
 		p.overRef = p.resolveVar(g.Over)
+		var ids, terms []string
 		for _, v := range aggGroupVars(r) {
-			p.groupRefs = append(p.groupRefs, p.resolveVar(v))
+			ref := p.resolveVar(v)
+			p.groupRefs = append(p.groupRefs, ref)
+			switch ref.kind {
+			case refSlot:
+				p.groupSlots = append(p.groupSlots, ref.idx)
+				ids = append(ids, v)
+			case refVal:
+				p.groupVals = append(p.groupVals, ref.idx)
+				terms = append(terms, v)
+			}
 		}
+		p.lay = newLayout(in, p.slotNames, p.valNames)
+		p.groupLay = newLayout(in, ids, terms)
+		p.aggLay = newLayout(in, ids, append(append(terms, g.Target), p.exist...))
+	} else {
+		p.lay = newLayout(in, p.slotNames, append(append([]string(nil), p.valNames...), p.exist...))
 	}
 	p.compileHead(r, in)
 	p.orders = make([]*orderedPlan, len(r.Body))

@@ -21,9 +21,12 @@ package chase
 // the program, and the columnar indexes rebuild lazily on first use.
 //
 // Determinism: every map is emitted in a canonical order (rules in program
-// order, substitutions by variable name, id sets ascending, aggregation
-// groups in their discovery order), so encoding the same logical state —
-// including the state of a just-restored engine — yields the same bytes.
+// order, bindings as (name, term) pairs by variable name, id sets ascending,
+// aggregation groups in their discovery order), so encoding the same logical
+// state — including the state of a just-restored engine — yields the same
+// bytes. Bindings are written through their layout's name order and decoded
+// straight back into frames of the same layout, which is why a restore
+// compiles the plans before it reads the first step.
 
 import (
 	"encoding/binary"
@@ -98,12 +101,12 @@ func (l *Live) EncodeState() ([]byte, error) {
 		w.uint(uint64(idx))
 		w.uint(uint64(d.Fact))
 		w.ids(d.Premises)
-		w.sub(d.Sub)
+		w.bindings(d.Sub)
 		w.uint(uint64(len(d.Contributors)))
 		for _, c := range d.Contributors {
 			w.ids(c.Premises)
 			w.term(c.Value)
-			w.sub(c.Sub)
+			w.bindings(c.Sub)
 		}
 	}
 
@@ -153,12 +156,12 @@ func (l *Live) EncodeState() ([]byte, error) {
 				return nil, fmt.Errorf("chase: snapshot: rule %s group key missing from map", r.Label)
 			}
 			w.str(key)
-			w.sub(gr.sub)
+			w.bindings(gr.bind)
 			w.uint(uint64(len(gr.contrib)))
 			for _, c := range gr.contrib {
 				w.ids(c.Premises)
 				w.term(c.Value)
-				w.sub(c.Sub)
+				w.bindings(c.Sub)
 			}
 		}
 	}
@@ -256,19 +259,32 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		}
 	}
 	e.store.SetEpoch(r.uint())
+	if r.err == nil {
+		if err := e.compileRules(); err != nil {
+			return nil, fmt.Errorf("chase: restore: %w", err)
+		}
+	}
 
 	// Steps; the per-fact derivation index rebuilds alongside in the same
 	// append order the emission paths used.
 	nsteps := r.uint()
 	for i := uint64(0); i < nsteps && r.err == nil; i++ {
 		rule := r.rule(p)
+		if r.err != nil {
+			break
+		}
+		pl := e.plans[rule]
 		fact := database.FactID(r.uint())
 		premises := r.ids()
-		sub := r.sub()
+		lay := pl.lay
+		if rule.HasAggregation() {
+			lay = pl.aggLay
+		}
+		sub := r.bindings(e, lay)
 		nc := r.uint()
 		var contribs []Contribution
 		for j := uint64(0); j < nc && r.err == nil; j++ {
-			contribs = append(contribs, Contribution{Premises: r.ids(), Value: r.term(), Sub: r.sub()})
+			contribs = append(contribs, Contribution{Premises: r.ids(), Value: r.term(), Sub: r.bindings(e, pl.lay)})
 		}
 		if r.err != nil {
 			break
@@ -301,23 +317,30 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 	nAggRules := r.uint()
 	for i := uint64(0); i < nAggRules && r.err == nil; i++ {
 		rule := r.rule(p)
+		if r.err != nil {
+			break
+		}
+		pl := e.plans[rule]
+		if pl.groupLay == nil {
+			return nil, fmt.Errorf("chase: restore: aggregation groups for rule %s, which does not aggregate", rule.Label)
+		}
 		ngroups := r.uint()
 		groups := map[string]*aggGroup{}
 		var order []string
 		for j := uint64(0); j < ngroups && r.err == nil; j++ {
 			key := r.str()
-			sub := r.sub()
+			bind := r.bindings(e, pl.groupLay)
 			ncontrib := r.uint()
-			gr := &aggGroup{key: key, sub: sub, seen: map[string]bool{}}
+			gr := &aggGroup{key: key, bind: bind, seen: map[string]bool{}}
 			for k := uint64(0); k < ncontrib && r.err == nil; k++ {
-				c := Contribution{Premises: r.ids(), Value: r.term(), Sub: r.sub()}
+				c := Contribution{Premises: r.ids(), Value: r.term(), Sub: r.bindings(e, pl.lay)}
 				gr.contrib = append(gr.contrib, c)
 				gr.seen[e.factTupleKey(c.Premises)] = true
 			}
 			groups[key] = gr
 			order = append(order, key)
 		}
-		if r.err == nil && rule != nil {
+		if r.err == nil {
 			e.aggGroups[rule] = groups
 			e.aggOrder[rule] = order
 		}
@@ -385,17 +408,15 @@ func (w *stateWriter) ids(ids []database.FactID) {
 	}
 }
 
-// sub emits a substitution sorted by variable name.
-func (w *stateWriter) sub(s term.Substitution) {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		names = append(names, n)
+// bindings emits (name, term) pairs sorted by variable name.
+func (w *stateWriter) bindings(b Bindings) {
+	w.uint(uint64(b.size()))
+	if b.size() == 0 {
+		return
 	}
-	sort.Strings(names)
-	w.uint(uint64(len(names)))
-	for _, n := range names {
-		w.str(n)
-		w.term(s[n])
+	for _, i := range b.lay.sorted {
+		w.str(b.lay.names[i])
+		w.term(b.at(i))
 	}
 }
 
@@ -442,6 +463,7 @@ type stateReader struct {
 	data []byte
 	off  int
 	err  error
+	key  []byte // scratch for dictionary probes of decoded bindings
 }
 
 func (r *stateReader) fail(format string, args ...any) {
@@ -534,17 +556,57 @@ func (r *stateReader) ids() []database.FactID {
 	return out
 }
 
-func (r *stateReader) sub() term.Substitution {
+// bindings decodes (name, term) pairs into a frame of the layout the pairs
+// were written from: the names must be exactly the layout's, in name order,
+// and atom-bound terms must be in the restored dictionary.
+func (r *stateReader) bindings(e *engine, lay *layout) Bindings {
 	n := r.uint()
 	if r.err != nil {
-		return nil
+		return Bindings{}
 	}
-	sub := make(term.Substitution, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		name := r.str()
-		sub[name] = r.term()
+	if n != uint64(len(lay.names)) {
+		r.fail("%d bindings where the rule binds %d variables", n, len(lay.names))
+		return Bindings{}
 	}
-	return sub
+	in := e.store.Interner()
+	b := Bindings{lay: lay, ids: e.carveIDs(lay.nids), terms: e.carveTerms(len(lay.names) - lay.nids)}
+	for _, i := range lay.sorted {
+		if !r.strEq(lay.names[i]) {
+			r.fail("binding of a variable other than %s at offset %d", lay.names[i], r.off)
+		}
+		t := r.term()
+		if r.err != nil {
+			return Bindings{}
+		}
+		if i >= lay.nids {
+			b.terms[i-lay.nids] = t
+			continue
+		}
+		r.key = t.AppendKey(r.key[:0])
+		id, ok := in.LookupKey(r.key)
+		if !ok {
+			r.fail("bound value %v is not in the dictionary", t)
+			return Bindings{}
+		}
+		b.ids[i] = id
+	}
+	return b
+}
+
+// strEq reads a string and reports whether it equals want, without
+// allocating it.
+func (r *stateReader) strEq(want string) bool {
+	n := r.uint()
+	if r.err != nil {
+		return false
+	}
+	if uint64(len(r.data)-r.off) < n {
+		r.fail("truncated string of length %d at offset %d", n, r.off)
+		return false
+	}
+	got := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return string(got) == want
 }
 
 // rule decodes a program rule index.

@@ -68,12 +68,12 @@ func dumpEngineState(t testing.TB, res *chase.Result) string {
 	}
 	for _, d := range res.Steps {
 		fmt.Fprintf(&b, "step %d rule=%s fact=%d premises=%v sub=%s contribs=[",
-			d.Step, d.Rule.Label, d.Fact, d.Premises, dumpSub(d.Sub))
+			d.Step, d.Rule.Label, d.Fact, d.Premises, dumpSub(d.Sub.Substitution()))
 		for i, c := range d.Contributors {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(&b, "{%v %s %s}", c.Premises, c.Value.Key(), dumpSub(c.Sub))
+			fmt.Fprintf(&b, "{%v %s %s}", c.Premises, c.Value.Key(), dumpSub(c.Sub.Substitution()))
 		}
 		b.WriteString("]\n")
 	}

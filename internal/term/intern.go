@@ -77,6 +77,13 @@ func (in *Interner) Lookup(t Term) (ValueID, bool) {
 	return id, ok
 }
 
+// LookupKey is Lookup by canonical key bytes (Term.AppendKey); the probe
+// does not allocate.
+func (in *Interner) LookupKey(key []byte) (ValueID, bool) {
+	id, ok := in.byKey[string(key)]
+	return id, ok
+}
+
 // Value returns the representative term of an interned id. It panics on an
 // out-of-range id, which always indicates a caller bug.
 func (in *Interner) Value(id ValueID) Term { return in.terms[id] }

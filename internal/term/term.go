@@ -235,28 +235,34 @@ func (t Term) Compare(u Term) (cmp int, ok bool) {
 // and for fact interning. Keys of distinct terms are distinct, except that
 // numerically-equal int and float constants share a key.
 func (t Term) Key() string {
+	var buf [32]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the term's canonical key (Key) to dst, so a caller that
+// only probes a map with it need not allocate the key.
+func (t Term) AppendKey(dst []byte) []byte {
 	switch t.kind {
 	case KindVariable:
-		return "?" + t.name
+		return append(append(dst, '?'), t.name...)
 	case KindNull:
-		return "~" + t.name
-	default:
-		switch t.ctype {
-		case ConstString:
-			return "s:" + t.s
-		case ConstBool:
-			if t.b {
-				return "b:true"
-			}
-			return "b:false"
-		default:
-			f, _ := t.AsFloat()
-			if f == float64(int64(f)) {
-				return "n:" + strconv.FormatInt(int64(f), 10)
-			}
-			return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
-		}
+		return append(append(dst, '~'), t.name...)
 	}
+	switch t.ctype {
+	case ConstString:
+		return append(append(dst, "s:"...), t.s...)
+	case ConstBool:
+		if t.b {
+			return append(dst, "b:true"...)
+		}
+		return append(dst, "b:false"...)
+	}
+	f, _ := t.AsFloat()
+	dst = append(dst, "n:"...)
+	if f == float64(int64(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // String renders the term in Vadalog concrete syntax: quoted strings,
