@@ -1,5 +1,5 @@
-# Repository tooling. The `race` target guards the parallel chase engine:
-# any data race between join workers and the store fails the build.
+# Repository tooling. The `race` target guards the code that runs on more
+# than one goroutine: any data race there fails the build.
 
 GO ?= go
 
@@ -11,14 +11,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrent packages: the chase engine's parallel join, the
-# fact store it reads, the incremental maintainer, and the serving layer
-# (shared LRUs, singleflight, proof-closure memo, session mutations, the
-# admission/deadline middleware, and the mid-chase cancellation paths —
-# cancel_test.go in chase/incremental/core and the hardening tests in
-# server), plus the serving tier's snapshot envelope and consistent-hash
-# router. Run this after touching concurrency or cancellation in any of
-# them.
+# Race-detect the concurrent packages: chase cancellation (a context
+# canceled from another goroutine mid-chase, cancel_test.go in
+# chase/incremental/core) and the shared proof-closure memo, the server's
+# session table and group committer with the admission/deadline
+# middleware, the WAL, the snapshot envelope and the consistent-hash
+# router, plus the shared LRUs and singleflight. Run this after touching
+# concurrency or cancellation in any of them.
 race:
 	$(GO) test -race ./internal/chase/... ./internal/database/... ./internal/incremental/... ./internal/core/... ./internal/server/... ./internal/lru/... ./internal/leakcheck/... ./internal/wal/... ./internal/figures/... ./internal/snapshot/... ./internal/router/...
 

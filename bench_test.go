@@ -244,25 +244,6 @@ func BenchmarkChaseRandomControl(b *testing.B) {
 	}
 }
 
-// BenchmarkChaseControlChainParallel is BenchmarkChaseControlChain with a
-// four-worker join pool (chase.Options{Workers: 4}); results are
-// byte-for-byte identical to the sequential run, only wall time differs.
-func BenchmarkChaseControlChainParallel(b *testing.B) {
-	app, _ := apps.ByName(apps.NameCompanyControl)
-	prog := app.Program()
-	sc := synth.ControlChain(50, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Answers()) == 0 {
-			b.Fatal("no answers")
-		}
-	}
-}
-
 // BenchmarkChaseStressCascade measures the chase on a 21-step cascade.
 func BenchmarkChaseStressCascade(b *testing.B) {
 	app, _ := apps.ByName(apps.NameStressTest)
@@ -276,31 +257,15 @@ func BenchmarkChaseStressCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkChaseStressCascadeParallel is the Workers: 4 twin of
-// BenchmarkChaseStressCascade.
-func BenchmarkChaseStressCascadeParallel(b *testing.B) {
-	app, _ := apps.ByName(apps.NameStressTest)
-	prog := app.Program()
-	sc := synth.StressCascade(21, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts, Workers: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchWideOwnership runs the chase over a wide random ownership graph (the
-// stresstest-scale workload of the README benchmark table): each semi-naive
-// round carries a broad frontier, which is the shape the parallel join is
-// built for.
-func benchWideOwnership(b *testing.B, workers int) {
+// BenchmarkChaseWideOwnership runs the chase over a wide random ownership
+// graph: each semi-naive round carries a broad frontier.
+func BenchmarkChaseWideOwnership(b *testing.B) {
 	app, _ := apps.ByName(apps.NameCompanyControl)
 	prog := app.Program()
 	sc := synth.RandomControl(12, 24, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts, Workers: workers})
+		res, err := chase.Run(prog, chase.Options{ExtraFacts: sc.Facts})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,14 +274,6 @@ func benchWideOwnership(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkChaseWideOwnership is the sequential baseline over the wide
-// ownership workload.
-func BenchmarkChaseWideOwnership(b *testing.B) { benchWideOwnership(b, 0) }
-
-// BenchmarkChaseWideOwnershipParallel runs the same workload with a
-// four-worker join pool.
-func BenchmarkChaseWideOwnershipParallel(b *testing.B) { benchWideOwnership(b, 4) }
 
 // BenchmarkExplainOnly isolates explanation generation (proof extraction,
 // mapping, instantiation) from reasoning, on a 21-step proof.

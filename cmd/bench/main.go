@@ -38,10 +38,9 @@ type envelope struct {
 	Go         string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Cores      int    `json:"cores"`
-	Workers    int    `json:"workers"`
 }
 
-func newEnvelope(workers int) envelope {
+func newEnvelope() envelope {
 	commit := "unknown (not a git checkout)"
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		commit = strings.TrimSpace(string(out))
@@ -57,7 +56,6 @@ func newEnvelope(workers int) envelope {
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Cores:      runtime.NumCPU(),
-		Workers:    workers,
 	}
 }
 
@@ -125,14 +123,12 @@ func main() {
 		proofs       = flag.Int("proofs", 10, "proofs per length (fig17: paper uses 10; fig18: 15)")
 		participants = flag.Int("participants", 24, "comprehension-study participants (fig14)")
 		experts      = flag.Int("experts", 14, "expert-study raters (fig16)")
-		workers      = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; figures are identical at any setting")
 		jsonLabel    = flag.String("json", "", "also write per-figure wall times to BENCH_<label>.json")
 		timeout      = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); Ctrl-C always interrupts cleanly")
 	)
 	flag.Parse()
 	ctx, stopSignals := cmdutil.SignalContext(*timeout)
 	defer stopSignals()
-	figures.SetChaseWorkers(*workers)
 
 	runners := map[string]func() (string, error){
 		"fig3": func() (string, error) { return figures.Fig3Fig9DependencyGraphs() },
@@ -174,28 +170,28 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			return out, writeSnapshot("serving", servingSnapshot{newEnvelope(*workers), points})
+			return out, writeSnapshot("serving", servingSnapshot{newEnvelope(), points})
 		},
 		"incremental": func() (string, error) {
 			out, points, err := figures.IncrementalLatency()
 			if err != nil {
 				return "", err
 			}
-			return out, writeSnapshot("incremental", incrementalSnapshot{newEnvelope(*workers), points})
+			return out, writeSnapshot("incremental", incrementalSnapshot{newEnvelope(), points})
 		},
 		"columnar": func() (string, error) {
 			out, points, err := figures.ColumnarThroughput()
 			if err != nil {
 				return "", err
 			}
-			return out, writeSnapshot("columnar", columnarSnapshot{newEnvelope(*workers), points})
+			return out, writeSnapshot("columnar", columnarSnapshot{newEnvelope(), points})
 		},
 		"write": func() (string, error) {
 			out, points, cross, err := figures.WriteThroughput()
 			if err != nil {
 				return "", err
 			}
-			return out, writeSnapshot("write", writePathSnapshot{newEnvelope(*workers), points, cross})
+			return out, writeSnapshot("write", writePathSnapshot{newEnvelope(), points, cross})
 		},
 	}
 	// Aliases: the paper's figure numbers group several renderings.
@@ -209,7 +205,7 @@ func main() {
 	if *fig == "all" {
 		ids = []string{"fig3", "fig10", "fig6", "fig7", "fig8", "ex48", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18"}
 	}
-	snap := benchSnapshot{envelope: newEnvelope(*workers), Label: *jsonLabel}
+	snap := benchSnapshot{envelope: newEnvelope(), Label: *jsonLabel}
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {

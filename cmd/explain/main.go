@@ -38,12 +38,11 @@ func main() {
 		proof    = flag.Bool("proof", false, "also print the deterministic step-by-step proof verbalization")
 		paths    = flag.Bool("paths", false, "also print the reasoning paths composed")
 		anon     = flag.Bool("anonymize", false, "pseudonymize entity names in the explanation")
-		workers  = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; explanations are identical at any setting")
 		timeout  = flag.Duration("timeout", 0, "abort reasoning after this long (0 = no deadline); Ctrl-C always cancels cleanly")
 	)
 	flag.Parse()
 
-	pipe, extra, err := buildPipeline(*appName, *progPath, *glosPath, *factPath, *noScen, *workers)
+	pipe, extra, err := buildPipeline(*appName, *progPath, *glosPath, *factPath, *noScen)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,9 +102,8 @@ func main() {
 	}
 }
 
-func buildPipeline(appName, progPath, glosPath, factPath string, noScenario bool, workers int) (*core.Pipeline, []ast.Atom, error) {
+func buildPipeline(appName, progPath, glosPath, factPath string, noScenario bool) (*core.Pipeline, []ast.Atom, error) {
 	cfg := core.Config{Enhancer: &enhancer.Fluent{Variants: 2, Seed: 1}}
-	cfg.Chase.Workers = workers
 	var pipe *core.Pipeline
 	var extra []ast.Atom
 	switch {

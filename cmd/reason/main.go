@@ -29,7 +29,6 @@ func main() {
 		noScen   = flag.Bool("no-scenario", false, "with -app: do not load the bundled scenario facts")
 		graph    = flag.Bool("graph", false, "print the chase graph")
 		dot      = flag.Bool("dot", false, "print the chase graph in Graphviz DOT syntax")
-		workers  = flag.Int("workers", 0, "chase worker-pool size: 0 = sequential, -1 = all cores; results are identical at any setting")
 		timeout  = flag.Duration("timeout", 0, "abort the chase after this long (0 = no deadline); Ctrl-C always cancels cleanly")
 	)
 	flag.Parse()
@@ -40,7 +39,7 @@ func main() {
 	}
 	ctx, stop := cmdutil.SignalContext(*timeout)
 	defer stop()
-	res, err := chase.RunContext(ctx, prog, chase.Options{ExtraFacts: extra, Workers: *workers})
+	res, err := chase.RunContext(ctx, prog, chase.Options{ExtraFacts: extra})
 	if err != nil {
 		fatal(err)
 	}

@@ -39,7 +39,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "chase worker-pool size per reasoning request: 0 = sequential, -1 = all cores")
 	maxSessions := flag.Int("max-sessions", 0, "resident-session capacity (0 = default)")
 	maxExplanations := flag.Int("max-explanations", 0, "rendered-explanation LRU capacity (0 = default)")
 	resultCache := flag.Int("result-cache", 0, "per-app reasoning-result cache capacity (0 = default)")
@@ -61,7 +60,6 @@ func main() {
 		os.Exit(1)
 	}
 	s, err := server.NewWithOptions(server.Options{
-		ChaseWorkers:    *workers,
 		MaxSessions:     *maxSessions,
 		MaxExplanations: *maxExplanations,
 		ResultCacheSize: *resultCache,

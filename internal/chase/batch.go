@@ -43,8 +43,8 @@ package chase
 // dropped.
 //
 // Determinism contract. The batch output is byte-identical to the frame
-// executor's (and hence to the reference interpreter's) at any worker count,
-// which is what lets the engine switch between them per rule evaluation:
+// executor's (and hence to the reference interpreter's), which is what lets
+// the engine switch between them per rule evaluation:
 //
 //   - The frame executor's leaf order is the lexicographic order of the
 //     per-depth fact-id choices (per depth it enumerates candidates in
@@ -67,12 +67,7 @@ package chase
 //     case falls back to the shared condHolds/arithCombine helpers.
 //   - Strategy choices (probe position, merge upgrade, frame fallback)
 //     depend only on store state and tuple counts, and every strategy
-//     yields the same canonical output, so worker count and chunking cannot
-//     change the bytes. Parallel mode chunks the depth-0 tuple set
-//     contiguously; depth-0 tuples are in ascending fact-id order (depth 0
-//     has no bound slots, so no merge perturbs the seed), hence per-chunk
-//     canonical outputs concatenate in chunk order into the globally
-//     canonical sequence — the same argument as parallel.go.
+//     yields the same canonical output.
 //
 // The one intended divergence, shared with the frame executor's pushdown
 // (see plan.go): on ill-typed programs that error at run time, the batch
@@ -261,7 +256,7 @@ type posSlot struct {
 // batchAdmit is the precompiled candidate admission of one join depth: the
 // columnar index, the pattern ops with cached dense columns, the pivot-
 // filter mode, the chosen probe strategy, and the fused condition kernels.
-// It is immutable after newBatchExec, so parallel chunks share it.
+// It is immutable after newBatchExec.
 type batchAdmit struct {
 	atomIdx int
 	c       *database.Columnar
@@ -329,8 +324,8 @@ func (ad *batchAdmit) admitTuple(st *batchCols, i int, k int32) bool {
 }
 
 // batchExec runs one ordered plan batch-at-a-time. It is immutable after
-// construction: parallel chunks of the same pivot share one batchExec, and
-// all per-pass mutable state lives in batchCols values and local buffers.
+// construction: all per-pass mutable state lives in batchCols values and
+// local buffers.
 type batchExec struct {
 	e      *engine
 	p      *plan
@@ -345,10 +340,9 @@ type batchExec struct {
 // ensurePlanColumnar refreshes the columnar index of every body predicate of
 // the plan, with sorted runs for exactly the positions some ordered plan of
 // the rule can probe — the constant and bound positions of its slot ops;
-// write positions only ever need the dense columns. It must run while the
-// store is writable — the engine calls it at the start of every batch join,
-// before any Freeze — so the per-pivot newBatchExec calls below find every
-// run already built.
+// write positions only ever need the dense columns. The engine calls it at
+// the start of every batch join, so the per-pivot newBatchExec calls find
+// every run already built.
 func (e *engine) ensurePlanColumnar(p *plan) {
 	need := make(map[string][]int, len(p.rule.Body))
 	for _, a := range p.rule.Body {
@@ -383,8 +377,8 @@ func probePositions(ops []database.SlotOp) []int {
 // indexes. pivot < 0 selects the unfiltered full join; otherwise the
 // standard pivot filter (atoms before the pivot match only pre-boundary
 // facts, the pivot only post-boundary ones) is translated to dense-index
-// comparisons. It must run before any Freeze (constant operands of fused
-// kernels are resolved against the interner here, once per pass).
+// comparisons. Constant operands of fused kernels are resolved against the
+// interner here, once per pass.
 func (e *engine) newBatchExec(p *plan, op *orderedPlan, pivot int, boundary database.FactID) *batchExec {
 	bx := &batchExec{
 		e:      e,
@@ -625,15 +619,6 @@ func (bx *batchExec) crossTuple(ad *batchAdmit, st *batchCols, i int, cand []int
 		ks = append(ks, k)
 	}
 	return src, ks
-}
-
-// seed runs the depth-0 extension from a single virtual empty tuple,
-// producing the batch counterpart of planSeeds. Unfused steps scheduled at
-// depth 0 are deliberately not applied here — parallel mode chunks the seed
-// set first and lets each chunk filter its own tuples (see planSeeds);
-// fused kernels run in the extension, which filters the same final set.
-func (bx *batchExec) seed(js *database.ColumnarStats) *batchCols {
-	return bx.extend(0, newBatchCols(1, bx.p), js)
 }
 
 // extend joins every input tuple with every admissible match of the atom at
@@ -1262,10 +1247,12 @@ func appendBindingsCols(p *plan, st *batchCols, out []binding) []binding {
 	return out
 }
 
-// finish drives a seeded tuple set through the remaining depths — unfused
-// steps at the current depth, then the next extension, with a cancellation
-// checkpoint per depth — and returns the leaf columns in canonical order.
-func (bx *batchExec) finish(st *batchCols, js *database.ColumnarStats) (*batchCols, error) {
+// run extends a single virtual empty tuple through every depth — the
+// extension, then the unfused steps scheduled at that depth, with a
+// cancellation checkpoint per depth — and returns the leaf columns in
+// canonical order.
+func (bx *batchExec) run(js *database.ColumnarStats) (*batchCols, error) {
+	st := bx.extend(0, newBatchCols(1, bx.p), js)
 	for d := 0; ; d++ {
 		if st.n == 0 {
 			return st, nil
@@ -1290,8 +1277,7 @@ func (bx *batchExec) finish(st *batchCols, js *database.ColumnarStats) (*batchCo
 
 // pivotNewCount is the semi-naive delta size of one pivot: the number of
 // live facts of the pivot atom's predicate at or beyond the boundary. It
-// depends only on store state, so sequential and parallel mode make the
-// same fallback choice.
+// depends only on store state.
 func (e *engine) pivotNewCount(op *orderedPlan, boundary database.FactID) int {
 	c := e.store.EnsureColumnarRuns(op.atoms[0].Predicate, nil)
 	return c.Extent() - int(c.DenseBoundary(boundary))
@@ -1304,9 +1290,6 @@ func (e *engine) pivotNewCount(op *orderedPlan, boundary database.FactID) int {
 // callers); the plain-rule emission path takes the columns raw.
 func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
 	e.ensurePlanColumnar(p)
-	if e.workers > 1 {
-		return e.joinBatchUnitsParallel(p, semi, boundary, wantBindings)
-	}
 	var units []joinUnit
 	var js database.ColumnarStats
 	defer func() { e.store.AddJoinStats(js) }()
@@ -1338,7 +1321,7 @@ func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wa
 			}
 		}
 		bx := e.newBatchExec(p, op, pv, boundary)
-		st, err := bx.finish(bx.seed(&js), &js)
+		st, err := bx.run(&js)
 		if err != nil {
 			return nil, err
 		}
@@ -1352,165 +1335,4 @@ func (e *engine) joinBatchUnits(p *plan, semi bool, boundary database.FactID, wa
 		}
 	}
 	return units, nil
-}
-
-// joinBatchUnitsParallel is joinBatchUnits with the post-seed depths of
-// every non-fallback pivot fanned out over the worker pool. Fallback pivots
-// run sequentially before the freeze (the frame executor is cheap on tiny
-// deltas and must not race the freeze discipline); merging chunk units in
-// (pivot, chunk) order reproduces the sequential concatenation exactly.
-func (e *engine) joinBatchUnitsParallel(p *plan, semi bool, boundary database.FactID, wantBindings bool) ([]joinUnit, error) {
-	type entry struct {
-		binds  []binding
-		lo, hi int // chunk-task range; lo == hi marks a fallback entry
-	}
-	var entries []entry
-	var tasks []*batchTask
-	var js database.ColumnarStats
-	npiv := 1
-	if semi {
-		npiv = len(p.orders)
-	}
-	for pivot := 0; pivot < npiv; pivot++ {
-		if err := e.checkCtx(); err != nil {
-			e.store.AddJoinStats(js)
-			return nil, err
-		}
-		op := p.orders[pivot]
-		pv := -1
-		if semi {
-			pv = pivot
-			switch nc := e.pivotNewCount(op, boundary); {
-			case nc == 0:
-				continue
-			case nc < e.tune.frameFallbackMin:
-				js.FrameFallbacks++
-				x := e.newExecutor(p, op, pivotFilter(pivot, boundary))
-				if err := x.extend(0); err != nil {
-					e.store.AddJoinStats(js)
-					return nil, err
-				}
-				if len(x.out) > 0 {
-					entries = append(entries, entry{binds: x.out})
-				}
-				continue
-			}
-		}
-		bx := e.newBatchExec(p, op, pv, boundary)
-		lo := len(tasks)
-		tasks = appendBatchChunked(tasks, bx, bx.seed(&js), e.workers)
-		if len(tasks) > lo {
-			entries = append(entries, entry{lo: lo, hi: len(tasks)})
-		}
-	}
-	e.store.AddJoinStats(js)
-	if err := e.runBatchTasks(tasks, wantBindings); err != nil {
-		return nil, err
-	}
-	var units []joinUnit
-	for _, en := range entries {
-		if en.lo == en.hi {
-			units = append(units, joinUnit{binds: en.binds})
-			continue
-		}
-		for _, t := range tasks[en.lo:en.hi] {
-			switch {
-			case wantBindings && len(t.binds) > 0:
-				units = append(units, joinUnit{binds: t.binds})
-			case !wantBindings && t.cols != nil && t.cols.n > 0:
-				units = append(units, joinUnit{cols: t.cols})
-			}
-		}
-	}
-	return units, nil
-}
-
-// batchTask is one contiguous chunk of a pivot's seed tuples, finished
-// independently on the worker pool and merged in task order. js accumulates
-// the chunk's join-path counters locally during the frozen phase; they are
-// flushed to the store after Thaw.
-type batchTask struct {
-	bx    *batchExec
-	st    *batchCols
-	cols  *batchCols
-	binds []binding
-	js    database.ColumnarStats
-}
-
-// sliceCols returns the contiguous sub-range [lo, hi) of a tuple set; the
-// sub-columns alias the input, which chunks only read.
-func sliceCols(st *batchCols, lo, hi int) *batchCols {
-	out := &batchCols{
-		n:         hi - lo,
-		slots:     make([][]term.ValueID, len(st.slots)),
-		vals:      make([][]term.Term, len(st.vals)),
-		facts:     make([][]database.FactID, len(st.facts)),
-		perturbed: st.perturbed,
-		sortedBy:  st.sortedBy,
-	}
-	for s, col := range st.slots {
-		if col != nil {
-			out.slots[s] = col[lo:hi]
-		}
-	}
-	for v, col := range st.vals {
-		if col != nil {
-			out.vals[v] = col[lo:hi]
-		}
-	}
-	for a, col := range st.facts {
-		if col != nil {
-			out.facts[a] = col[lo:hi]
-		}
-	}
-	return out
-}
-
-// appendBatchChunked splits a seeded tuple set into up to
-// workers*chunksPerWorker contiguous chunks, preserving tuple order across
-// the chunk sequence (the same chunk arithmetic as appendPlanChunked).
-func appendBatchChunked(tasks []*batchTask, bx *batchExec, st *batchCols, workers int) []*batchTask {
-	if st.n == 0 {
-		return tasks
-	}
-	chunks := workers * chunksPerWorker
-	if chunks > st.n {
-		chunks = st.n
-	}
-	for c := 0; c < chunks; c++ {
-		lo := c * st.n / chunks
-		hi := (c + 1) * st.n / chunks
-		tasks = append(tasks, &batchTask{bx: bx, st: sliceCols(st, lo, hi)})
-	}
-	return tasks
-}
-
-// runBatchTasks finishes every chunk on the worker pool under the same
-// Freeze/Thaw discipline as runPlanTasks. Chunks only read shared state
-// (the store, the columnar indexes — refreshed before the freeze — the
-// superseded set, and the shared batchExec); every column a chunk produces
-// is freshly allocated, and per-chunk counters are flushed after Thaw.
-func (e *engine) runBatchTasks(tasks []*batchTask, wantBindings bool) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	e.store.Freeze()
-	err := runParallel(e.workers, len(tasks), func(i int) error {
-		t := tasks[i]
-		st, err := t.bx.finish(t.st, &t.js)
-		if err != nil {
-			return err
-		}
-		if wantBindings {
-			t.binds = appendBindingsCols(t.bx.p, st, nil)
-		} else {
-			t.cols = st
-		}
-		return nil
-	})
-	e.store.Thaw()
-	for _, t := range tasks {
-		e.store.AddJoinStats(t.js)
-	}
-	return err
 }

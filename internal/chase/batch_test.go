@@ -11,27 +11,25 @@ import (
 	"repro/internal/term"
 )
 
-// diffBatch runs the program under every forced batch-executor tuning
-// (workers 0 and 4 each), asserts each run byte-for-byte identical to the
-// reference result, and adds the runs' strategy counters to sum so callers
-// can assert which join paths ran.
+// diffBatch runs the program under every forced batch-executor tuning,
+// asserts each run byte-for-byte identical to the reference result, and
+// adds the runs' strategy counters to sum so callers can assert which join
+// paths ran.
 func diffBatch(t *testing.T, label string, ref *Result, prog *ast.Program, facts []ast.Atom, naive bool, sum *database.ColumnarStats) {
 	t.Helper()
 	for _, v := range batchTunings {
-		for _, workers := range []int{0, 4} {
-			batch, err := runTuned(v.tn.withNaive(naive), prog, Options{ExtraFacts: facts, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s naive=%v workers=%d %s: %v", label, naive, workers, v.name, err)
-			}
-			diffResults(t, fmt.Sprintf("%s naive=%v workers=%d %s", label, naive, workers, v.name), ref, batch)
-			js := batch.JoinStats
-			sum.FrameJoins += js.FrameJoins
-			sum.BatchJoins += js.BatchJoins
-			sum.TriejoinPasses += js.TriejoinPasses
-			sum.ProbePasses += js.ProbePasses
-			sum.ScanPasses += js.ScanPasses
-			sum.FrameFallbacks += js.FrameFallbacks
+		batch, err := runTuned(v.tn.withNaive(naive), prog, Options{ExtraFacts: facts})
+		if err != nil {
+			t.Fatalf("%s naive=%v %s: %v", label, naive, v.name, err)
 		}
+		diffResults(t, fmt.Sprintf("%s naive=%v %s", label, naive, v.name), ref, batch)
+		js := batch.JoinStats
+		sum.FrameJoins += js.FrameJoins
+		sum.BatchJoins += js.BatchJoins
+		sum.TriejoinPasses += js.TriejoinPasses
+		sum.ProbePasses += js.ProbePasses
+		sum.ScanPasses += js.ScanPasses
+		sum.FrameFallbacks += js.FrameFallbacks
 	}
 }
 
@@ -84,8 +82,7 @@ func TestBatchEquivalenceFixedPrograms(t *testing.T) {
 }
 
 // TestBatchDifferentialRandomOwnership: over 24 random layered ownership
-// graphs, the batch executor (sequential and 4 workers) is identical to the
-// reference interpreter.
+// graphs, the batch executor is identical to the reference interpreter.
 func TestBatchDifferentialRandomOwnership(t *testing.T) {
 	controlRules := `
 @output("Control").
@@ -153,10 +150,10 @@ func denseOwnership(layers, width, fanout int, seed int64) []ast.Atom {
 
 // TestBatchTriejoinDifferential: on workloads sized to exercise the merge
 // (leapfrog) join path, the batch executor is byte-identical to the frame
-// executor at workers 0 and 4, in bulk and semi-naive modes, under the
-// shipped thresholds and with each strategy forced — and the join counters
-// prove that leapfrog merges, per-tuple probes and scans actually ran rather
-// than one silently standing in for another.
+// executor, in bulk and semi-naive modes, under the shipped thresholds and
+// with each strategy forced — and the join counters prove that leapfrog
+// merges, per-tuple probes and scans actually ran rather than one silently
+// standing in for another.
 func TestBatchTriejoinDifferential(t *testing.T) {
 	sources := map[string]string{
 		"two-hop": `
@@ -183,24 +180,22 @@ func TestBatchTriejoinDifferential(t *testing.T) {
 			}
 			js.FrameJoins += frame.JoinStats.FrameJoins
 			diffBatch(t, fmt.Sprintf("%s seed %d", name, seed), frame, prog, facts, false, &js)
-			// Per run at the shipped thresholds: every chunking (workers 0
-			// and 4) must seek the sorted runs, and the two-hop join is
-			// dense enough that each also drives its bound-probe depth
-			// through the leapfrog merge. Recursive reach deltas can
-			// legitimately stay below mergeThreshold at high worker counts,
-			// so only seek accounting is required there.
-			for _, workers := range []int{0, 4} {
-				batch, err := runTuned(batchOnly, prog, Options{ExtraFacts: facts, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s seed %d workers=%d batch: %v", name, seed, workers, err)
-				}
-				st := batch.JoinStats
-				if name == "two-hop" && st.TriejoinPasses == 0 {
-					t.Fatalf("%s seed %d workers=%d: merge path never ran: %+v", name, seed, workers, st)
-				}
-				if st.Seeks == 0 {
-					t.Fatalf("%s seed %d workers=%d: no iterator seeks recorded: %+v", name, seed, workers, st)
-				}
+			// Per run at the shipped thresholds: the batch executor must
+			// seek the sorted runs, and the two-hop join is dense enough
+			// that it also drives its bound-probe depth through the
+			// leapfrog merge. Recursive reach deltas can legitimately stay
+			// below mergeThreshold, so only seek accounting is required
+			// there.
+			batch, err := runTuned(batchOnly, prog, Options{ExtraFacts: facts})
+			if err != nil {
+				t.Fatalf("%s seed %d batch: %v", name, seed, err)
+			}
+			st := batch.JoinStats
+			if name == "two-hop" && st.TriejoinPasses == 0 {
+				t.Fatalf("%s seed %d: merge path never ran: %+v", name, seed, st)
+			}
+			if st.Seeks == 0 {
+				t.Fatalf("%s seed %d: no iterator seeks recorded: %+v", name, seed, st)
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package chase
 
 // Cancellation tests: typed errors, checkpoint promptness, and the
 // differential suite proving that a canceled run leaves nothing behind — a
-// fresh run after a mid-chase cancel is byte-for-byte identical to the
-// sequential oracle, at every worker count.
+// fresh run after a mid-chase cancel is byte-for-byte identical to an
+// uncanceled run.
 
 import (
 	"context"
@@ -93,11 +93,11 @@ func TestRunContextBackgroundIdentical(t *testing.T) {
 		}
 		diffResults(t, name, want, got)
 		counting := &countingCtx{}
-		got2, err := RunContext(counting, prog, Options{Workers: 4})
+		got2, err := RunContext(counting, prog, Options{})
 		if err != nil {
-			t.Fatalf("%s workers=4: %v", name, err)
+			t.Fatalf("%s counting: %v", name, err)
 		}
-		diffResults(t, name+" workers=4", want, got2)
+		diffResults(t, name+" counting", want, got2)
 		if counting.calls.Load() == 0 {
 			t.Errorf("%s: no cancellation checks performed", name)
 		}
@@ -107,11 +107,11 @@ func TestRunContextBackgroundIdentical(t *testing.T) {
 // cancelDifferential cancels a run of prog at check number cancelAt, then
 // verifies the typed error, the bounded unwind, and that a fresh run still
 // matches the oracle byte for byte.
-func cancelDifferential(t *testing.T, label string, prog string, extra []string, cancelAt int64, workers int, oracle *Result) {
+func cancelDifferential(t *testing.T, label string, prog string, extra []string, cancelAt int64, oracle *Result) {
 	t.Helper()
 	p := parser.MustParse(prog + "\n" + join(extra))
 	ctx := newCountdownCtx(cancelAt)
-	res, err := RunContext(ctx, p, Options{Workers: workers})
+	res, err := RunContext(ctx, p, Options{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("%s: cancel at %d: err = %v, want ErrCanceled", label, cancelAt, err)
 	}
@@ -119,15 +119,15 @@ func cancelDifferential(t *testing.T, label string, prog string, extra []string,
 		t.Fatalf("%s: canceled run returned a result", label)
 	}
 	// Prompt return: after the cancellation fires, the engine may observe it
-	// a handful more times while unwinding (concurrent workers, the
-	// round-loop re-check) but must not keep chasing.
-	if over := ctx.over.Load(); over > int64(64+workers) {
+	// a handful more times while unwinding (the round-loop re-check) but
+	// must not keep chasing.
+	if over := ctx.over.Load(); over > 64 {
 		t.Errorf("%s: %d cancellation checks after firing — not returning at a boundary?", label, over)
 	}
 	// A fresh run over the same program is byte-identical to the oracle:
-	// the canceled run left no shared state behind (balanced Freeze/Thaw,
-	// no half-recorded facts).
-	re, err := RunContext(context.Background(), p, Options{Workers: workers})
+	// the canceled run left no shared state behind (no half-recorded
+	// facts).
+	re, err := RunContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatalf("%s: fresh run after cancel: %v", label, err)
 	}
@@ -146,7 +146,7 @@ func join(lines []string) string {
 // four program shapes (recursive aggregation control, existential
 // close-link, two-channel aggregation, stratified negation) and ≥12 random
 // seeds, cancel at a random checkpoint, then prove a fresh run still equals
-// the sequential oracle — sequentially and under Workers: 4.
+// the oracle.
 func TestCancelMidChaseDifferential(t *testing.T) {
 	controlRules := `
 @output("Control").
@@ -169,20 +169,18 @@ func TestCancelMidChaseDifferential(t *testing.T) {
 		}
 		total := counting.calls.Load()
 		rng := rand.New(rand.NewSource(seed))
-		for _, workers := range []int{0, 4} {
-			cancelAt := rng.Int63n(total)
-			label := fmt.Sprintf("control seed=%d cancelAt=%d workers=%d", seed, cancelAt, workers)
-			ctx := newCountdownCtx(cancelAt)
-			res, err := RunContext(ctx, prog, Options{ExtraFacts: facts, Workers: workers})
-			if !errors.Is(err, ErrCanceled) || res != nil {
-				t.Fatalf("%s: res=%v err=%v, want nil + ErrCanceled", label, res, err)
-			}
-			re, err := RunContext(context.Background(), prog, Options{ExtraFacts: facts, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: fresh run: %v", label, err)
-			}
-			diffResults(t, label, oracle, re)
+		cancelAt := rng.Int63n(total)
+		label := fmt.Sprintf("control seed=%d cancelAt=%d", seed, cancelAt)
+		ctx := newCountdownCtx(cancelAt)
+		res, err := RunContext(ctx, prog, Options{ExtraFacts: facts})
+		if !errors.Is(err, ErrCanceled) || res != nil {
+			t.Fatalf("%s: res=%v err=%v, want nil + ErrCanceled", label, res, err)
 		}
+		re, err := RunContext(context.Background(), prog, Options{ExtraFacts: facts})
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", label, err)
+		}
+		diffResults(t, label, oracle, re)
 	}
 
 	// The fixed program shapes, canceled at several points each.
@@ -201,10 +199,8 @@ func TestCancelMidChaseDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(len(name))))
 		for i := 0; i < 4; i++ {
 			cancelAt := rng.Int63n(total)
-			for _, workers := range []int{0, 4} {
-				cancelDifferential(t, fmt.Sprintf("%s cancelAt=%d workers=%d", name, cancelAt, workers),
-					src, nil, cancelAt, workers, oracle)
-			}
+			cancelDifferential(t, fmt.Sprintf("%s cancelAt=%d", name, cancelAt),
+				src, nil, cancelAt, oracle)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package chase
 // Cancellation. Every entry point has a Context variant (RunContext,
 // RunLiveContext, Live.SetContext) that makes the engine cooperative: the
 // context is checked at every round boundary, before every rule evaluation
-// within a round, at every parallel chunk boundary (the worker pool checks
-// before starting each join task), before every constraint check, and at the
-// top of every goal-directed re-derivation. The engine never checks inside
+// within a round, before every pivot and every depth of a batch join (see
+// batch.go), before every constraint check, and at the top of every
+// goal-directed re-derivation. The engine never checks inside
 // the emission loop, so a cancellation can only ever land between two
 // completed rule evaluations — never between a fact and its provenance.
 //
@@ -20,9 +20,8 @@ package chase
 //
 //   - RunContext/RunLiveContext discard the engine on error; a later run over
 //     the same program builds a fresh store and is byte-for-byte identical to
-//     an uncancelled run (the differential suite in cancel_test.go proves it,
-//     including under Workers > 1 — Freeze/Thaw pairs are balanced on every
-//     error path).
+//     an uncancelled run (the differential suite in cancel_test.go proves
+//     it).
 //   - A Live whose Saturate was canceled is still consistent: calling
 //     Saturate again (after SetContext with a live context) resumes toward
 //     the same fixpoint. The incremental Maintainer deliberately does not
@@ -65,8 +64,7 @@ func IsCancellation(err error) bool {
 }
 
 // checkCtx is the engine's cancellation checkpoint; nil context (the
-// context-free entry points) makes it free. It is called from parallel join
-// workers concurrently — context.Context.Err is safe for that.
+// context-free entry points) makes it free.
 func (e *engine) checkCtx() error {
 	if e.ctx == nil {
 		return nil

@@ -33,8 +33,8 @@ func ownershipOfSize(n int, seed int64) []ast.Atom {
 // TestCutoverBoundaryDifferential pins the engine's own executor choice at
 // its boundary: for ownership graphs one fact below, at, and one fact above
 // batchMinExtent, the automatic choice is byte-identical to the engine
-// pinned to the frame executor and pinned to the batch executor (workers 0
-// and 4), and the strategy counters show the choice flipping exactly at the
+// pinned to the frame executor and pinned to the batch executor, and the
+// strategy counters show the choice flipping exactly at the
 // cut-over. Every body predicate but Own is a strict subset of the Own
 // edges, so Own's extent alone decides.
 func TestCutoverBoundaryDifferential(t *testing.T) {
@@ -53,25 +53,23 @@ func TestCutoverBoundaryDifferential(t *testing.T) {
 		if len(frame.Derived("Linked")) == 0 {
 			t.Fatalf("n=%d: nothing derived", n)
 		}
-		for _, workers := range []int{0, 4} {
-			opts := Options{ExtraFacts: facts, Workers: workers}
-			batch, err := runTuned(batchOnly, prog, opts)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d batch: %v", n, workers, err)
-			}
-			diffResults(t, fmt.Sprintf("n=%d workers=%d batch", n, workers), frame, batch)
-			auto, err := Run(prog, opts)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d auto: %v", n, workers, err)
-			}
-			diffResults(t, fmt.Sprintf("n=%d workers=%d auto", n, workers), frame, auto)
-			js := auto.JoinStats
-			if n < batchMinExtent && (js.BatchJoins != 0 || js.FrameJoins == 0) {
-				t.Errorf("n=%d workers=%d: below the cut-over the engine must stay on the frame executor: %+v", n, workers, js)
-			}
-			if n >= batchMinExtent && (js.BatchJoins == 0 || js.TriejoinPasses == 0) {
-				t.Errorf("n=%d workers=%d: at the cut-over the engine must move to the batch executor: %+v", n, workers, js)
-			}
+		opts := Options{ExtraFacts: facts}
+		batch, err := runTuned(batchOnly, prog, opts)
+		if err != nil {
+			t.Fatalf("n=%d batch: %v", n, err)
+		}
+		diffResults(t, fmt.Sprintf("n=%d batch", n), frame, batch)
+		auto, err := Run(prog, opts)
+		if err != nil {
+			t.Fatalf("n=%d auto: %v", n, err)
+		}
+		diffResults(t, fmt.Sprintf("n=%d auto", n), frame, auto)
+		js := auto.JoinStats
+		if n < batchMinExtent && (js.BatchJoins != 0 || js.FrameJoins == 0) {
+			t.Errorf("n=%d: below the cut-over the engine must stay on the frame executor: %+v", n, js)
+		}
+		if n >= batchMinExtent && (js.BatchJoins == 0 || js.TriejoinPasses == 0) {
+			t.Errorf("n=%d: at the cut-over the engine must move to the batch executor: %+v", n, js)
 		}
 	}
 }

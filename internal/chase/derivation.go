@@ -50,24 +50,13 @@
 // and naive evaluation, which re-joins every rule against the whole store
 // every round.
 //
-// Optionally the join phase is parallel: Options.Workers > 1 fans the
-// read-only join phase of each rule evaluation out over a worker pool
-// while keeping the emission phase single-threaded, so results are
-// byte-for-byte identical to the sequential engine at any worker count
-// (see parallel.go for the determinism argument). The executor keeps
-// the join phase free of dictionary writes — assignment results
-// live in value slots, never interned mid-join — so workers share the
-// immutable plan and only read the store, the superseded set, and the
-// interner.
-//
 // Run and MustRun are safe to call concurrently — every call builds its
 // own engine and store. A *Result and everything reachable from it
 // (Store, Steps, Derivations, extracted Proofs) is immutable after Run
 // returns and safe for any number of concurrent readers; the explanation
 // service serves concurrent queries over shared results this way. The
-// internal engine type is not safe for concurrent use; its parallel join
-// workers only ever read the store, which Freeze/Thaw on
-// database.Store enforce at run time.
+// internal engine type is not safe for concurrent use: one goroutine runs
+// each chase, joins and emission alike.
 package chase
 
 import (

@@ -25,13 +25,6 @@ type Options struct {
 	MaxFacts int
 	// ExtraFacts are added to the program's embedded facts before running.
 	ExtraFacts []ast.Atom
-	// Workers is the core budget for the join phase of each rule
-	// evaluation. 0 (and 1) evaluate sequentially; a negative value selects
-	// runtime.GOMAXPROCS(0). Parallel evaluation is deterministic: the
-	// fact ids, chase steps, provenance edges, and aggregation
-	// contributions are byte-for-byte identical to the sequential engine
-	// at any worker count (see parallel.go for the argument).
-	Workers int
 }
 
 const (
@@ -48,11 +41,11 @@ func Run(p *ast.Program, opts Options) (*Result, error) {
 }
 
 // RunContext is Run under a cancellation context: the engine checks ctx at
-// every round, rule and parallel-chunk boundary and returns a wrapped
-// ErrCanceled/ErrDeadline promptly after ctx ends. A canceled run has no
-// side effects — every run builds its own store — so a later run over the
-// same program is byte-identical to one that was never canceled (see
-// context.go for the full contract).
+// every round and rule boundary and inside batch joins, and returns a
+// wrapped ErrCanceled/ErrDeadline promptly after ctx ends. A canceled run
+// has no side effects — every run builds its own store — so a later run
+// over the same program is byte-identical to one that was never canceled
+// (see context.go for the full contract).
 func RunContext(ctx context.Context, p *ast.Program, opts Options) (*Result, error) {
 	l, err := RunLiveContext(ctx, p, opts)
 	if err != nil {
@@ -135,8 +128,6 @@ type engine struct {
 	maxFacts int
 	// tune holds the join-strategy thresholds (defaultTuning outside tests).
 	tune tuning
-	// workers is the join-phase worker-pool size; <= 1 means sequential.
-	workers int
 	// frameJoins and batchJoins count the executor choices made since the
 	// last Snapshot, which folds them into the store's join stats: the frame
 	// path every small session runs stays free of shared counters.
@@ -286,11 +277,7 @@ func (e *engine) joinUnits(r *ast.Rule, semi bool, boundary database.FactID, wan
 		return e.joinBatchUnits(p, semi, boundary, wantBindings || p.head == nil)
 	default:
 		e.frameJoins++
-		if e.workers > 1 {
-			binds, err = e.joinFrameParallel(p, semi, boundary)
-		} else {
-			binds, err = e.joinFrame(p, semi, boundary)
-		}
+		binds, err = e.joinFrame(p, semi, boundary)
 	}
 	if err != nil || len(binds) == 0 {
 		return nil, err
@@ -555,7 +542,7 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 	units, err := e.joinUnits(r, !full, database.FactID(prev), false)
 	if err != nil {
 		// Roll the semi-naive boundary back so the interrupted evaluation
-		// (e.g. a cancellation at a chunk boundary) is not recorded as done;
+		// (e.g. a cancellation inside a batch join) is not recorded as done;
 		// the join emitted nothing, so this restores the pre-call state.
 		if seen {
 			e.lastSeen[r] = prev
@@ -675,11 +662,7 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 		}
 		key := make([]byte, len(buf))
 		copy(key, buf)
-		f, err := e.store.AddKeyed(ast.Atom{Predicate: hp.pred, Terms: terms}, key, row, false)
-		if err != nil {
-			e.emitBuf = buf
-			return false, err
-		}
+		f := e.store.AddKeyed(ast.Atom{Predicate: hp.pred, Terms: terms}, key, row, false)
 		bind := Bindings{lay: p.lay, ids: e.carveIDs(p.nslots), terms: e.carveTerms(p.nvals)}
 		for s := range bind.ids {
 			bind.ids[s] = st.slots[s][i]
@@ -742,7 +725,7 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 	}
 	if err != nil {
 		// Restore the evaluation bookkeeping consumed above so an
-		// interrupted join (cancellation at a chunk boundary) leaves the
+		// interrupted join (cancellation inside a batch join) leaves the
 		// rule due for re-evaluation, not silently skipped. In full mode the
 		// wiped group state is rebuilt by the full re-join the restored
 		// boundary forces.

@@ -38,30 +38,3 @@ func ExampleRun() {
 	// Control(A, B)
 	// Control(A, C)
 }
-
-// ExampleRun_parallel evaluates the same program with a four-worker pool.
-// Parallel evaluation is deterministic: every fact id, chase step, and
-// provenance edge is identical to the sequential run, so the two chase
-// graphs render byte-for-byte the same.
-func ExampleRun_parallel() {
-	prog := parser.MustParse(companyControlSrc)
-	seq, err := chase.Run(prog, chase.Options{})
-	if err != nil {
-		panic(err)
-	}
-	par, err := chase.Run(prog, chase.Options{Workers: 4})
-	if err != nil {
-		panic(err)
-	}
-	for _, id := range par.Answers() {
-		fmt.Println(par.Store.Get(id))
-	}
-	fmt.Println("identical chase graphs:", seq.Graph() == par.Graph())
-	// Output:
-	// Control(A, A)
-	// Control(B, B)
-	// Control(C, C)
-	// Control(A, B)
-	// Control(A, C)
-	// identical chase graphs: true
-}

@@ -2,8 +2,8 @@ package chase_test
 
 // Frame-versus-batch lockstep under incremental maintenance: the same
 // add/retract history applied to a maintainer pinned to the frame executor
-// and to maintainers pinned to the batch executor (sequential and 4 workers)
-// must leave byte-identical engines after every update. The programs are the
+// and to a maintainer pinned to the batch executor must leave
+// byte-identical engines after every update. The programs are the
 // incremental package's differential shapes; at their size the engine's own
 // choice is always the frame executor, so the executor is pinned through the
 // test hook, which is why the suite lives here and not in
@@ -119,9 +119,9 @@ Loan("B1", "C1", 10.0). Loan("B1", "C2", 5.0). Waived("C3").
 	}
 }
 
-// TestIncrementalExecutorLockstep drives a frame-pinned maintainer and two
-// batch-pinned ones (sequential and 4 workers, small-delta fallbacks off so
-// even a one-fact update runs batch passes) through 12 random add/retract
+// TestIncrementalExecutorLockstep drives a frame-pinned maintainer and a
+// batch-pinned one (small-delta fallbacks off so even a one-fact update runs
+// batch passes) through 12 random add/retract
 // histories per program: update statistics and the full engine state — ids,
 // tombstones, supersessions, steps, substitutions, contributors — must agree
 // after every update. The counters must show that the pinned maintainers ran
@@ -134,12 +134,10 @@ func TestIncrementalExecutorLockstep(t *testing.T) {
 		updateLen = 8
 	)
 	opts := chase.Options{MaxRounds: 200, MaxFacts: 50_000}
-	par := opts
-	par.Workers = 4
 	arms := []struct {
 		exec chase.Tuning
 		opts chase.Options
-	}{{chase.FrameOnly, opts}, {chase.BatchAlways, opts}, {chase.BatchAlways, par}}
+	}{{chase.FrameOnly, opts}, {chase.BatchAlways, opts}}
 	for _, p := range lockstepPrograms() {
 		t.Run(p.name, func(t *testing.T) {
 			prog, err := parser.Parse(p.src)

@@ -24,7 +24,6 @@ package chase
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -122,10 +121,6 @@ func newEngine(p *ast.Program, opts Options) *engine {
 	if maxFacts <= 0 {
 		maxFacts = defaultMaxFacts
 	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	tune := defaultTuning
 	if testTuning != nil {
 		tune = *testTuning
@@ -143,7 +138,6 @@ func newEngine(p *ast.Program, opts Options) *engine {
 		plans:      map[*ast.Rule]*plan{},
 		maxFacts:   maxFacts,
 		tune:       tune,
-		workers:    workers,
 	}
 }
 
@@ -187,11 +181,11 @@ func (e *engine) live(opts Options) (*Live, error) {
 }
 
 // SetContext installs the cancellation context every subsequent method call
-// checks at its round, rule and chunk boundaries; nil removes it. A Live is
-// single-writer (see the package comment above), so the caller that owns
-// the write lock installs a per-update context before mutating and removes
-// it afterwards — the incremental Maintainer does exactly that around each
-// Update.
+// checks at its round and rule boundaries and inside batch joins; nil
+// removes it. A Live is single-writer (see the package comment above), so
+// the caller that owns the write lock installs a per-update context before
+// mutating and removes it afterwards — the incremental Maintainer does
+// exactly that around each Update.
 func (l *Live) SetContext(ctx context.Context) {
 	if ctx == context.Background() {
 		ctx = nil

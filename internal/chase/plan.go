@@ -68,7 +68,7 @@ type slotRef struct {
 
 // plan is the compiled form of one rule, shared by every evaluation of that
 // rule. It is immutable after compilation; executors carry all mutable
-// state, so one plan serves concurrent join workers.
+// state.
 type plan struct {
 	rule *ast.Rule
 	// nslots id slots (atom variables, first-occurrence order over the
@@ -490,9 +490,7 @@ func (p *plan) compileExpr(e ast.Expr) (*planExpr, error) {
 	}
 }
 
-// executor runs one ordered plan depth-first over a reusable frame. It is
-// single-goroutine state: parallel evaluation gives each task its own
-// executor over the shared immutable plan.
+// executor runs one ordered plan depth-first over a reusable frame.
 type executor struct {
 	e       *engine
 	p       *plan
@@ -524,7 +522,8 @@ func (e *engine) newExecutor(p *plan, op *orderedPlan, allow atomFilter) *execut
 }
 
 // extend enumerates every admissible match of the atom at order position
-// depth and recurses. Candidates are visited in the same order legacy
+// depth, runs the steps pushed down to that depth, and recurses to the next
+// atom or records the leaf. Candidates are visited in the same order legacy
 // MatchBind yields them, so leaves appear in the legacy binding order.
 func (x *executor) extend(depth int) error {
 	pa := &x.op.atoms[depth]
@@ -541,25 +540,22 @@ func (x *executor) extend(depth int) error {
 			continue
 		}
 		x.facts[atomIdx] = id
-		if err := x.afterBind(depth); err != nil {
+		ok, err := x.runSteps(depth)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if depth+1 == len(x.op.atoms) {
+			x.emitLeaf()
+			continue
+		}
+		if err := x.extend(depth + 1); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// afterBind runs once the atom at order position depth is bound: pushed-down
-// steps, then the next atom or the leaf.
-func (x *executor) afterBind(depth int) error {
-	ok, err := x.runSteps(depth)
-	if err != nil || !ok {
-		return err
-	}
-	if depth+1 == len(x.op.atoms) {
-		x.emitLeaf()
-		return nil
-	}
-	return x.extend(depth + 1)
 }
 
 // runSteps applies the steps scheduled at this depth; ok=false drops the

@@ -36,8 +36,7 @@ Price("Sink", 3.0).
 `
 
 // diffEngines runs the program under both engines and asserts byte-identical
-// results at worker counts 1 and 4 of the compiled engine, with the legacy
-// sequential engine as the baseline.
+// results, with the legacy engine as the baseline.
 func diffEngines(t *testing.T, label, src string) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -49,21 +48,18 @@ func diffEngines(t *testing.T, label, src string) {
 		if err != nil {
 			t.Fatalf("%s naive=%v legacy: %v", label, naive, err)
 		}
-		for _, workers := range []int{0, 4} {
-			compiled, err := runTuned(frameOnly.withNaive(naive), prog, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s naive=%v workers=%d compiled: %v", label, naive, workers, err)
-			}
-			diffResults(t, fmt.Sprintf("%s naive=%v workers=%d", label, naive, workers), legacy, compiled)
+		compiled, err := runTuned(frameOnly.withNaive(naive), prog, Options{})
+		if err != nil {
+			t.Fatalf("%s naive=%v compiled: %v", label, naive, err)
 		}
+		diffResults(t, fmt.Sprintf("%s naive=%v", label, naive), legacy, compiled)
 	}
 }
 
 // TestCompiledLegacyEquivalenceFixedPrograms: the compiled slot-plan engine
 // reproduces the legacy map-based engine byte for byte — facts, ids, steps,
 // premise order, substitutions, aggregation contributors, chase graph — on
-// every bundled program shape, in naive and semi-naive mode, sequential and
-// parallel.
+// every bundled program shape, in naive and semi-naive mode.
 func TestCompiledLegacyEquivalenceFixedPrograms(t *testing.T) {
 	sources := map[string]string{
 		"stress-simple": stressSimpleSrc,
@@ -79,8 +75,7 @@ func TestCompiledLegacyEquivalenceFixedPrograms(t *testing.T) {
 
 // TestCompiledLegacyDifferentialRandomOwnership is the randomized
 // differential: over 24 random layered ownership graphs, the compiled engine
-// (sequential and 4 workers) produces results identical to the legacy
-// engine.
+// produces results identical to the legacy engine.
 func TestCompiledLegacyDifferentialRandomOwnership(t *testing.T) {
 	controlRules := `
 @output("Control").
@@ -98,13 +93,11 @@ func TestCompiledLegacyDifferentialRandomOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d legacy: %v", seed, err)
 		}
-		for _, workers := range []int{0, 4} {
-			compiled, err := Run(prog, Options{ExtraFacts: facts, Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers=%d compiled: %v", seed, workers, err)
-			}
-			diffResults(t, fmt.Sprintf("seed %d workers=%d", seed, workers), legacy, compiled)
+		compiled, err := Run(prog, Options{ExtraFacts: facts})
+		if err != nil {
+			t.Fatalf("seed %d compiled: %v", seed, err)
 		}
+		diffResults(t, fmt.Sprintf("seed %d", seed), legacy, compiled)
 	}
 }
 
@@ -181,8 +174,8 @@ Own("E", "F", 0.9). Own("F", "G", 0.55). Own("A", "G", 0.1).
 // FuzzPlanDifferential fuzzes whole programs through the reference
 // interpreter, the engine's own strategy choice, and every forced strategy
 // of the compiled executors — frame only, and the batch executor pinned to
-// leapfrog merges, to per-tuple probes and to per-pivot frame fallbacks —
-// each crossed with worker counts 0 and 4: any parseable, valid program
+// leapfrog merges, to per-tuple probes and to per-pivot frame fallbacks:
+// any parseable, valid program
 // either fails on every engine or produces a byte-identical result. (Per
 // the documented pushdown caveat, runtime evaluation errors may surface on
 // different homomorphisms, so inputs where either baseline errors are
@@ -215,15 +208,11 @@ func FuzzPlanDifferential(f *testing.F) {
 			tn   tuning
 		}{{"frame", frameOnly}, {"auto", fuzzCutover}}, batchTunings...)
 		for _, v := range variants {
-			for _, workers := range []int{0, 4} {
-				opts := bound
-				opts.Workers = workers
-				got, err := runTuned(v.tn, prog, opts)
-				if err != nil {
-					t.Fatalf("frame executor succeeded but %s workers=%d failed: %v", v.name, workers, err)
-				}
-				diffResults(t, fmt.Sprintf("fuzz-%s-%d", v.name, workers), legacy, got)
+			got, err := runTuned(v.tn, prog, bound)
+			if err != nil {
+				t.Fatalf("frame executor succeeded but %s failed: %v", v.name, err)
 			}
+			diffResults(t, "fuzz-"+v.name, legacy, got)
 		}
 	})
 }

@@ -195,9 +195,8 @@ func (l *Live) EncodeState() ([]byte, error) {
 }
 
 // RestoreLive rebuilds a Live from an EncodeState payload taken against the
-// same program. Workers may differ from the snapshotting engine's — results
-// are byte-identical at any worker count and under every join strategy —
-// but the program must be identical: rule references are stored as indexes
+// same program. Results are byte-identical under every join strategy, but
+// the program must be identical: rule references are stored as indexes
 // into Program.Rules. The caller is responsible for that check (the on-disk
 // envelope verifies a program fingerprint).
 func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {

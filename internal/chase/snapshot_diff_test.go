@@ -224,17 +224,14 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				// Restore twice: once with identical options, once with a
 				// different executor (results are byte-identical across
 				// executors, so restored state must be too).
-				altOpts := opts
-				altOpts.Workers = 4
 				variants := []struct {
 					name string
 					exec chase.Tuning
-					opts chase.Options
-				}{{"same-exec", exec, opts}, {"cross-exec", altExec, altOpts}}
+				}{{"same-exec", exec}, {"cross-exec", altExec}}
 				lockstep := []*incremental.Maintainer{orig}
 				for _, v := range variants {
 					var restoredLive *chase.Live
-					chase.WithTuning(v.exec, func() { restoredLive, err = chase.RestoreLive(prog, v.opts, payload) })
+					chase.WithTuning(v.exec, func() { restoredLive, err = chase.RestoreLive(prog, opts, payload) })
 					if err != nil {
 						t.Fatalf("%s: RestoreLive: %v", v.name, err)
 					}

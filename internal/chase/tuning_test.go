@@ -44,7 +44,7 @@ var (
 )
 
 // batchTunings are the forced batch-executor variants the differential
-// suites cross with worker counts.
+// suites run.
 var batchTunings = []struct {
 	name string
 	tn   tuning

@@ -18,14 +18,11 @@ import (
 // outcome, plus the maintained instance's epoch (0 until the pipeline's
 // first Update). Extra facts are hashed in order — fact order determines
 // fact ids and hence proofs, so two requests are "the same run" only when
-// their fact lists match positionally. Workers is deliberately excluded:
-// results are proven byte-identical at any worker count (the differential
-// suites in chase enforce it), so runs may be shared across settings;
-// MaxRounds and MaxFacts are included because they decide whether a run
-// errors at all. The epoch is included because an
-// update changes the effective base without changing the program text:
-// without it, a result cached before the update would keep answering
-// requests made after it.
+// their fact lists match positionally. MaxRounds and MaxFacts are
+// included because they decide whether a run errors at all. The epoch is
+// included because an update changes the effective base without changing
+// the program text: without it, a result cached before the update would
+// keep answering requests made after it.
 func reasonFingerprint(prog *ast.Program, opts chase.Options, epoch uint64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%d\x00%d\x00%d\x00", opts.MaxRounds, opts.MaxFacts, epoch)

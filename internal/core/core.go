@@ -182,7 +182,7 @@ func (p *Pipeline) Reason(extra ...ast.Atom) (*chase.Result, error) {
 }
 
 // ReasonContext is Reason under a context: the chase run is cancellable at
-// its round and chunk boundaries and returns chase.ErrCanceled/ErrDeadline
+// its round and rule boundaries and returns chase.ErrCanceled/ErrDeadline
 // when interrupted. Cancellation composes with the caches: a canceled run is
 // never written to the result cache, a waiter sharing an in-flight run whose
 // leader is canceled re-runs the chase under its own (still live) context,

@@ -44,11 +44,10 @@ package database
 // # Coherence contract
 //
 // Refresh mutates the store (it is a writer in the Store concurrency
-// contract) and is therefore forbidden during a frozen snapshot phase:
-// EnsureColumnar panics if called with pending work while frozen. The chase
-// engine refreshes every body predicate before freezing for a parallel join
-// phase; sequential passes refresh lazily. All other Columnar methods only
-// read and are safe alongside any number of concurrent readers.
+// contract). The chase engine refreshes every body predicate of a rule at
+// the start of its batch join, so the join itself only reads the index.
+// All other Columnar methods only read and are safe alongside any number
+// of concurrent readers.
 //
 // Maintenance work is counted per store (Store.ColumnarStats) and aggregated
 // process-wide (GlobalColumnarStats) so serving-tier regressions — e.g. a
@@ -122,9 +121,8 @@ func (s *Store) ColumnarStats() ColumnarStats { return s.colStats }
 // AddJoinStats folds a batch of join-strategy counters into the store's (and
 // the process-wide) columnar stats. The chase engine counts its executor
 // choices in plain fields and flushes them when it snapshots a fixpoint; the
-// batch executor accumulates its pass counters locally during its read-only
-// (possibly frozen and concurrent) join phase and flushes them here once per
-// join, from the single-threaded side of the phase boundary.
+// batch executor accumulates its pass counters locally during a join and
+// flushes them here once per join.
 func (s *Store) AddJoinStats(d ColumnarStats) {
 	for _, c := range [...]struct {
 		local  *uint64
@@ -254,9 +252,8 @@ func (c *Columnar) checkBuilt(pos int) {
 // start, so the iterator is also correct (just not amortized) for unsorted
 // key sequences.
 //
-// The iterator only reads the index, so any number of iterators may run
-// concurrently over a frozen store. Seeks and GallopSteps account the work
-// for the join-path counters.
+// The iterator only reads the index. Seeks and GallopSteps account the
+// work for the join-path counters.
 type RunIter struct {
 	base, tail *colRun
 	bi, ti     int // cursor: first entry not yet known to be < the last sought value
@@ -387,10 +384,8 @@ func (c *Columnar) DenseBoundary(boundary FactID) int32 {
 // EnsureColumnar returns the predicate's columnar index refreshed to cover
 // every live fact, with sorted runs for every position: the first call
 // builds it, later calls fold in appended facts (tail maintenance) or
-// rebuild after a retraction. Refreshing mutates the store, so calling it
-// with pending work during a frozen snapshot phase panics — the chase
-// engine refreshes before freezing. A predicate with no live facts yields
-// an empty (non-nil) index.
+// rebuild after a retraction. A predicate with no live facts yields an
+// empty (non-nil) index.
 func (s *Store) EnsureColumnar(pred string) *Columnar {
 	c := s.ensureColumnarData(pred)
 	c.wantAll = true
@@ -435,25 +430,17 @@ func (s *Store) ensureColumnarData(pred string) *Columnar {
 			c.incorporated = s.Frontier()
 			return c
 		}
-		if s.frozen {
-			panic("database: columnar index refresh for " + pred + " during frozen snapshot phase")
-		}
 		s.refreshColumnar(c)
 	}
 	return c
 }
 
 // buildWantedRuns constructs the sorted runs of every wanted-but-unbuilt
-// position. Building mutates the index, so pending construction during a
-// frozen snapshot phase panics — the chase engine requests every plan
-// position before freezing, making later calls read-only.
+// position.
 func (s *Store) buildWantedRuns(c *Columnar) {
 	for pos := range c.built {
 		if c.built[pos] || !(c.wantAll || c.want[pos]) {
 			continue
-		}
-		if s.frozen {
-			panic("database: columnar run build for " + c.pred + " during frozen snapshot phase")
 		}
 		s.buildRun(c, pos)
 	}

@@ -220,28 +220,6 @@ func TestColumnarEmptyPredicate(t *testing.T) {
 	}
 }
 
-// TestColumnarFrozenPanics: refreshing with pending work during a frozen
-// snapshot phase is a caller bug and must panic; a watermark-only advance
-// (no pending facts for the predicate) must not.
-func TestColumnarFrozenPanics(t *testing.T) {
-	s := NewStore()
-	s.MustAdd(own("A", "B", 0.5), true)
-	s.EnsureColumnar("Own")
-	s.MustAdd(ast.NewAtom("Other", term.Str("x")), true)
-	s.Freeze()
-	s.EnsureColumnar("Own") // watermark advance only: fine while frozen
-	s.Thaw()
-	s.MustAdd(own("B", "C", 0.5), true)
-	s.Freeze()
-	defer s.Thaw()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnsureColumnar with pending work while frozen did not panic")
-		}
-	}()
-	s.EnsureColumnar("Own")
-}
-
 // TestColumnarDenseOrderMatchesMatch: the probe candidates agree with the
 // hash-index Match on both membership and (fact id) order — the property the
 // batch executor's byte-identity rests on.
@@ -465,15 +443,13 @@ func TestRunIterPostRetractRebuild(t *testing.T) {
 	checkColumnarCoherent(t, s, "Own")
 }
 
-// TestRunIterUnbuiltPanics: the frozen-phase guard — an iterator over a
-// position whose runs were never ensured panics exactly like Runs, so a
-// join can never silently read an unsorted column.
+// TestRunIterUnbuiltPanics: an iterator over a position whose runs were
+// never ensured panics exactly like Runs, so a join can never silently read
+// an unsorted column.
 func TestRunIterUnbuiltPanics(t *testing.T) {
 	s := NewStore()
 	s.MustAdd(own("A", "B", 0.5), true)
 	c := s.EnsureColumnarRuns("Own", []int{0})
-	s.Freeze()
-	defer s.Thaw()
 	if it := c.Iter(0); it.base == nil {
 		t.Fatal("built position must iterate")
 	}

@@ -17,24 +17,20 @@
 // representation the batch-at-a-time join executor scans and probes. They
 // are built lazily by EnsureColumnar (all positions) or EnsureColumnarRuns
 // (sorted runs for the listed probe positions only, radix-sorted on the
-// value id), kept coherent across Add, Retract,
-// Freeze and Thaw (appends accumulate in a small sorted tail that is
-// LSM-merged into the base; retraction invalidates and the next ensure
-// rebuilds), and their maintenance work is counted on ColumnarStats.
+// value id), kept coherent across Add and Retract (appends accumulate in a
+// small sorted tail that is LSM-merged into the base; retraction
+// invalidates and the next ensure rebuilds), and their maintenance work is
+// counted on ColumnarStats.
 //
 // # Concurrency contract
 //
 // A Store is not synchronized. It is safe for any number of concurrent
 // readers (Match, MatchBind, Lookup, Get, Contains, ByPredicate, Facts,
 // Frontier, Len) as long as no writer (Add, MustAdd) runs at the same time.
-// The chase engine exploits exactly this shape: its parallel join phase is
-// read-only over a store snapshot and is separated from the single-threaded
-// emission phase that appends facts. Freeze/Thaw make that phase boundary
-// explicit and turn any out-of-phase write into an error instead of a data
-// race. EnsureColumnar and EnsureColumnarRuns are writers when the index
-// has pending work: callers must refresh indexes before freezing (the chase
-// calls them at join entry), and a refresh or run-build attempt during a
-// frozen phase panics rather than racing.
+// EnsureColumnar and EnsureColumnarRuns are writers when the index has
+// pending work. A chase runs on one goroutine, so it never reads and writes
+// a store at the same time; the serving layer keeps response rendering off
+// a store while an incremental repair mutates it.
 package database
 
 import (
@@ -81,10 +77,6 @@ type Store struct {
 	// (columnar.go); colStats counts their maintenance work.
 	colIdx   map[string]*Columnar
 	colStats ColumnarStats
-	// frozen marks a read-only snapshot phase; Add and Retract reject
-	// writes while set. It is toggled only between phases (never while
-	// readers run), so plain (unsynchronized) access is race-free.
-	frozen bool
 	// dead marks tombstoned facts (see Retract). Nil until the first
 	// retraction, so the hot Retracted check is a single len test for the
 	// append-only common case.
@@ -110,10 +102,9 @@ func NewStore() *Store {
 	}
 }
 
-// Interner exposes the store's value dictionary. Callers may Intern new
-// values only while the store is writable (the chase compiles rule constants
-// into ids before its concurrent join phase); Lookup and Value are read-only
-// and safe alongside other readers.
+// Interner exposes the store's value dictionary. Intern is a writer in the
+// Store concurrency contract; Lookup and Value are read-only and safe
+// alongside other readers.
 func (s *Store) Interner() *term.Interner { return s.in }
 
 // Row returns the fact's argument values as interned ids, positionally
@@ -130,23 +121,10 @@ func (s *Store) Len() int { return len(s.facts) }
 // facts at or beyond the snapshot as "new" at the next one.
 func (s *Store) Frontier() FactID { return FactID(len(s.facts)) }
 
-// Freeze puts the store into a read-only snapshot phase: Add fails until
-// Thaw is called. The chase engine freezes the store around its concurrent
-// join phase so that a misplaced write surfaces as an error rather than a
-// data race. Freeze must not be called while other goroutines access the
-// store (the engine calls it before starting workers).
-func (s *Store) Freeze() { s.frozen = true }
-
-// Thaw ends a Freeze, re-enabling writes.
-func (s *Store) Thaw() { s.frozen = false }
-
 // Add interns a ground atom. It returns the fact and whether it was newly
 // inserted; adding an atom that is already present returns the existing fact
 // with added=false. Non-ground atoms are rejected with an error.
 func (s *Store) Add(a ast.Atom, extensional bool) (*Fact, bool, error) {
-	if s.frozen {
-		return nil, false, fmt.Errorf("database: Add(%v) during frozen snapshot phase", a)
-	}
 	if !a.IsGround() {
 		return nil, false, fmt.Errorf("database: cannot intern non-ground atom %v", a)
 	}
@@ -185,10 +163,7 @@ func (s *Store) LookupKey(key []byte) (FactID, bool) {
 // LookupKey for absence — AddKeyed inserts unconditionally — and must hand
 // over a and row for the store to retain. Every observable effect (fact id
 // assignment, epoch, indexes) is identical to Add returning added=true.
-func (s *Store) AddKeyed(a ast.Atom, key []byte, row []term.ValueID, extensional bool) (*Fact, error) {
-	if s.frozen {
-		return nil, fmt.Errorf("database: AddKeyed(%v) during frozen snapshot phase", a)
-	}
+func (s *Store) AddKeyed(a ast.Atom, key []byte, row []term.ValueID, extensional bool) *Fact {
 	f := &Fact{ID: FactID(len(s.facts)), Atom: a, Extensional: extensional}
 	s.epoch++
 	s.facts = append(s.facts, f)
@@ -198,7 +173,7 @@ func (s *Store) AddKeyed(a ast.Atom, key []byte, row []term.ValueID, extensional
 		s.index[indexKey{a.Predicate, pos, v}] = append(s.index[indexKey{a.Predicate, pos, v}], f.ID)
 	}
 	s.rows = append(s.rows, row)
-	return f, nil
+	return f
 }
 
 // RestoreFact is the snapshot-restore append path: it interns the atom
@@ -210,9 +185,6 @@ func (s *Store) AddKeyed(a ast.Atom, key []byte, row []term.ValueID, extensional
 // deletes the mapping when it still points at the retracted id). Outside
 // restore, use Add.
 func (s *Store) RestoreFact(a ast.Atom, extensional bool) (*Fact, error) {
-	if s.frozen {
-		return nil, fmt.Errorf("database: RestoreFact(%v) during frozen snapshot phase", a)
-	}
 	if !a.IsGround() {
 		return nil, fmt.Errorf("database: cannot intern non-ground atom %v", a)
 	}
@@ -254,9 +226,6 @@ func (s *Store) MustAdd(a ast.Atom, extensional bool) (*Fact, bool) {
 // premises-precede-conclusions id invariant the proof memo relies on.
 // Retracting an already-retracted id is a no-op.
 func (s *Store) Retract(id FactID) error {
-	if s.frozen {
-		return fmt.Errorf("database: Retract(%d) during frozen snapshot phase", id)
-	}
 	if id < 0 || int(id) >= len(s.facts) {
 		return fmt.Errorf("database: Retract(%d): unknown fact id", id)
 	}

@@ -242,27 +242,6 @@ func TestFrontier(t *testing.T) {
 	}
 }
 
-// Freeze turns writes into errors while leaving reads working; Thaw
-// restores writes.
-func TestFreezeThaw(t *testing.T) {
-	s := NewStore()
-	s.MustAdd(own("A", "B", 0.6), true)
-	s.Freeze()
-	if _, _, err := s.Add(own("B", "C", 0.7), true); err == nil {
-		t.Fatal("Add during freeze succeeded, want error")
-	}
-	if !s.Contains(own("A", "B", 0.6)) {
-		t.Fatal("read during freeze failed")
-	}
-	if got := len(s.Match(ast.NewAtom("Own", term.Var("X"), term.Var("Y"), term.Var("S")))); got != 1 {
-		t.Fatalf("match during freeze returned %d facts, want 1", got)
-	}
-	s.Thaw()
-	if _, added, err := s.Add(own("B", "C", 0.7), true); err != nil || !added {
-		t.Fatalf("Add after thaw: added=%v err=%v", added, err)
-	}
-}
-
 // Retract tombstones a fact: invisible to every lookup path, ids stable,
 // re-add gets a fresh id, epoch advances on every mutation.
 func TestRetract(t *testing.T) {
@@ -364,16 +343,11 @@ func TestRetractSlots(t *testing.T) {
 	}
 }
 
-// Retract respects the freeze phase and rejects unknown ids; a fully
-// retracted predicate disappears from Predicates and Dump.
+// Retract rejects unknown ids; a fully retracted predicate disappears from
+// Predicates and Dump.
 func TestRetractEdgeCases(t *testing.T) {
 	s := NewStore()
 	f, _ := s.MustAdd(ast.NewAtom("Company", term.Str("A")), true)
-	s.Freeze()
-	if err := s.Retract(f.ID); err == nil {
-		t.Error("Retract during freeze succeeded, want error")
-	}
-	s.Thaw()
 	if err := s.Retract(FactID(99)); err == nil {
 		t.Error("Retract of unknown id succeeded, want error")
 	}

@@ -23,32 +23,13 @@ import (
 	"repro/internal/synth"
 )
 
-// chaseWorkers is the chase worker-pool size applied to every figure
-// regeneration; see SetChaseWorkers.
-var chaseWorkers int
-
-// SetChaseWorkers sets chase.Options.Workers for all subsequent figure
-// regenerations (0 = sequential, the default). cmd/bench threads its
-// -workers flag through here; results are identical at any setting, only
-// wall time changes.
-func SetChaseWorkers(n int) { chaseWorkers = n }
-
-// applyWorkers merges the package-level worker setting into a pipeline
-// config that does not set its own.
-func applyWorkers(cfg core.Config) core.Config {
-	if cfg.Chase.Workers == 0 {
-		cfg.Chase.Workers = chaseWorkers
-	}
-	return cfg
-}
-
 // pipelineFor compiles a bundled application.
 func pipelineFor(name string) (*apps.App, *core.Pipeline, error) {
 	app, err := apps.ByName(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := app.Pipeline(applyWorkers(core.Config{}))
+	p, err := app.Pipeline(core.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,7 +43,7 @@ func explainScenario(sc synth.Scenario, cfg core.Config) (*core.Pipeline, *chase
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := app.Pipeline(applyWorkers(cfg))
+	p, err := app.Pipeline(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -400,7 +381,7 @@ func Fig18Performance(seed int64, proofs int) (string, []TimingPoint, error) {
 		if err != nil {
 			return "", nil, err
 		}
-		pipe, err := app.Pipeline(applyWorkers(core.Config{}))
+		pipe, err := app.Pipeline(core.Config{})
 		if err != nil {
 			return "", nil, err
 		}

@@ -67,7 +67,7 @@ func IncrementalLatency() (string, []IncrementalPoint, error) {
 		if err != nil {
 			return "", nil, err
 		}
-		pipe, err := app.Pipeline(applyWorkers(core.Config{}))
+		pipe, err := app.Pipeline(core.Config{})
 		if err != nil {
 			return "", nil, fmt.Errorf("incremental: %s: %w", w.name, err)
 		}

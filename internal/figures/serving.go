@@ -82,14 +82,14 @@ func ServingLatency() (string, []ServingPoint, error) {
 		if err != nil {
 			return "", nil, err
 		}
-		coldPipe, err := app.Pipeline(applyWorkers(core.Config{}))
+		coldPipe, err := app.Pipeline(core.Config{})
 		if err != nil {
 			return "", nil, fmt.Errorf("serving: %s: %w", w.name, err)
 		}
-		warmPipe, err := app.Pipeline(applyWorkers(core.Config{
+		warmPipe, err := app.Pipeline(core.Config{
 			ResultCacheSize:      8,
 			ExplanationCacheSize: 1 << 14,
-		}))
+		})
 		if err != nil {
 			return "", nil, fmt.Errorf("serving: %s: %w", w.name, err)
 		}

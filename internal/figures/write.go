@@ -100,7 +100,7 @@ func writeThroughput(chainSteps, updatesPerWriter int, writerCounts []int) (stri
 	if err != nil {
 		return "", nil, nil, err
 	}
-	pipe, err := app.Pipeline(applyWorkers(core.Config{}))
+	pipe, err := app.Pipeline(core.Config{})
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("write: %w", err)
 	}

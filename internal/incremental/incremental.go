@@ -93,7 +93,7 @@ func New(p *ast.Program, opts chase.Options) (*Maintainer, error) {
 }
 
 // NewContext is New under a context: the initial chase run is cancellable at
-// its round and chunk boundaries. A canceled construction returns
+// its round and rule boundaries. A canceled construction returns
 // chase.ErrCanceled/ErrDeadline and no maintainer — nothing to poison, the
 // caller simply retries with a live context.
 func NewContext(ctx context.Context, p *ast.Program, opts chase.Options) (*Maintainer, error) {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/chase"
-	"repro/internal/database"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
@@ -606,41 +605,6 @@ func FuzzIncrementalDifferential(f *testing.F) {
 	})
 }
 
-// diffMaintained asserts two maintained fixpoints are byte-for-byte
-// identical: same facts with the same ids and tombstones, same chase steps
-// with the same rules and premise lists, same superseded set. (The
-// maintained-vs-scratch checks above are semantic by necessity — re-derived
-// atoms carry fresh ids — but two maintained runs fed identical update
-// sequences must agree exactly when only the join executor differs.)
-func diffMaintained(t *testing.T, label string, want, got *chase.Result) {
-	t.Helper()
-	if w, g := want.Store.Dump(), got.Store.Dump(); w != g {
-		t.Fatalf("%s: fact stores differ\nwant:\n%s\ngot:\n%s", label, w, g)
-	}
-	if w, g := want.Store.Len(), got.Store.Len(); w != g {
-		t.Fatalf("%s: store sizes differ: %d vs %d", label, w, g)
-	}
-	for id := 0; id < want.Store.Len(); id++ {
-		fid := database.FactID(id)
-		if w, g := want.Store.Retracted(fid), got.Store.Retracted(fid); w != g {
-			t.Fatalf("%s: retracted(#%d) differs: %v vs %v", label, id, w, g)
-		}
-		if w, g := want.Superseded(fid), got.Superseded(fid); w != g {
-			t.Fatalf("%s: superseded(#%d) differs: %v vs %v", label, id, w, g)
-		}
-	}
-	if len(want.Steps) != len(got.Steps) {
-		t.Fatalf("%s: step counts differ: %d vs %d", label, len(want.Steps), len(got.Steps))
-	}
-	for i := range want.Steps {
-		w, g := want.Steps[i], got.Steps[i]
-		if w.Fact != g.Fact || w.Rule.Label != g.Rule.Label ||
-			fmt.Sprint(w.Premises) != fmt.Sprint(g.Premises) {
-			t.Fatalf("%s: step %d differs: %v vs %v", label, i, w, g)
-		}
-	}
-}
-
 // ballastOwnership is a layered ownership graph over entities of its own
 // (Z…): 2·width edges per layer gap, about 58% of them majority edges, so
 // control and close links propagate through it.
@@ -689,14 +653,12 @@ func bulkDeltas(entities []string, edge func(x string, k int) ast.Atom) [][]ast.
 	return bulk
 }
 
-// TestBatchIncrementalDifferential drives sequential and 4-worker
-// maintainers in lockstep through random add/retract sequences over
-// instances big enough that the engine evaluates every differential program
-// on the batch executor: each program's pool atoms sit on top of a ballast
-// that puts every rule's largest body predicate past the cut-over. After
-// every update the two fixpoints must be byte-identical, and at the end of
-// every sequence the maintained instance must be equivalent to a
-// from-scratch chase. The strategy counters must show batch passes during
+// TestBatchIncrementalDifferential drives a maintainer through random
+// add/retract sequences over instances big enough that the engine evaluates
+// every differential program on the batch executor: each program's pool
+// atoms sit on top of a ballast that puts every rule's largest body
+// predicate past the cut-over. At the end of every sequence the maintained
+// instance must be equivalent to a from-scratch chase. The strategy counters must show batch passes during
 // the updates, not just the initial run, and columnar rebuilds — retractions
 // invalidate the columnar indexes, so the batch pass after one exercises the
 // rebuild path. (The same programs run in frame-versus-batch lockstep with
@@ -708,8 +670,6 @@ func TestBatchIncrementalDifferential(t *testing.T) {
 		updateLen = 8
 	)
 	opts := chase.Options{MaxRounds: 200, MaxFacts: 500_000}
-	par := opts
-	par.Workers = 4
 	pools := differentialPools()
 	ownBallast := ballastOwnership(2, 2100)
 	ownBulk := bulkDeltas([]string{"A", "B", "C", "D", "E"}, func(x string, k int) ast.Atom {
@@ -749,17 +709,13 @@ func TestBatchIncrementalDifferential(t *testing.T) {
 			var updateBatchJoins, rebuilds uint64
 			for seed := int64(0); seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				maintainers := make([]*Maintainer, 2)
-				for i, o := range []chase.Options{opts, par} {
-					prog := mustParse(t, c.src)
-					prog.Facts = append(prog.Facts, c.ballast...)
-					m, err := New(prog, o)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					maintainers[i] = m
+				prog := mustParse(t, c.src)
+				prog.Facts = append(prog.Facts, c.ballast...)
+				m, err := New(prog, opts)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				initial, err := maintainers[0].Result()
+				initial, err := m.Result()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -796,19 +752,13 @@ func TestBatchIncrementalDifferential(t *testing.T) {
 					if !ok {
 						continue
 					}
-					results := make([]*chase.Result, 2)
-					for i, m := range maintainers {
-						got, _, err := m.Update(add, retract)
-						if err != nil {
-							t.Fatalf("seed %d step %d maintainer %d: update(%v, -%v): %v",
-								seed, step, i, add, retract, err)
-						}
-						results[i] = got
+					got, _, err := m.Update(add, retract)
+					if err != nil {
+						t.Fatalf("seed %d step %d: update(%v, -%v): %v", seed, step, add, retract, err)
 					}
-					diffMaintained(t, fmt.Sprintf("%s seed %d step %d", label, seed, step), results[0], results[1])
-					last = results[0]
+					last = got
 				}
-				checkEquivalent(t, fmt.Sprintf("%s seed %d", label, seed), last, scratchRun(t, maintainers[0], opts))
+				checkEquivalent(t, fmt.Sprintf("%s seed %d", label, seed), last, scratchRun(t, m, opts))
 				updateBatchJoins += last.JoinStats.BatchJoins - initial.JoinStats.BatchJoins
 				rebuilds += last.JoinStats.Rebuilds
 			}

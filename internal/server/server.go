@@ -270,15 +270,11 @@ const (
 
 // DefaultRequestTimeout is the per-request reasoning deadline: a chase (or
 // incremental repair) that has not finished after this long is canceled at
-// its next round/chunk boundary and the request answers 408.
+// its next round or rule boundary and the request answers 408.
 const DefaultRequestTimeout = 30 * time.Second
 
 // Options configure server construction.
 type Options struct {
-	// ChaseWorkers is the chase worker-pool size used by every /reason
-	// request (chase.Options.Workers): 0 = sequential, negative = all
-	// cores. Responses are identical at any setting.
-	ChaseWorkers int
 	// MaxSessions bounds the resident sessions; at capacity the least
 	// recently used one is retired: checkpointed and restored by the next
 	// request naming it with a WAL directory, gone (404) without. 0 selects
@@ -294,7 +290,7 @@ type Options struct {
 	ResultCacheSize int
 	// RequestTimeout is the per-request reasoning deadline: the request
 	// context handed to the chase carries it, and an overrun answers 408
-	// within one round/chunk boundary. 0 selects DefaultRequestTimeout;
+	// within one round or rule boundary. 0 selects DefaultRequestTimeout;
 	// negative disables the deadline (client disconnect still cancels).
 	RequestTimeout time.Duration
 	// MaxInflight bounds concurrently admitted reasoning requests
@@ -380,7 +376,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 		walSync:        opts.WALSync,
 		commitWindow:   opts.CommitWindow,
 		writeQueue:     opts.WriteQueue,
-		chaseOpts:      chase.Options{Workers: opts.ChaseWorkers, MaxFacts: opts.MaxFacts},
+		chaseOpts:      chase.Options{MaxFacts: opts.MaxFacts},
 		compactCommits: opts.CompactCommits,
 		compactBytes:   opts.CompactBytes,
 		logf:           logger.Printf,
@@ -391,7 +387,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.table = newSessionTable(opts.MaxSessions, s.restoreSession, s.retire)
 	for _, a := range apps.All() {
 		p, err := a.Pipeline(core.Config{
-			Chase:                chase.Options{Workers: opts.ChaseWorkers, MaxFacts: opts.MaxFacts},
+			Chase:                chase.Options{MaxFacts: opts.MaxFacts},
 			ResultCacheSize:      opts.ResultCacheSize,
 			ExplanationCacheSize: opts.MaxExplanations,
 		})

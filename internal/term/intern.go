@@ -23,9 +23,8 @@ const NoValue ValueID = -1
 // ValueIDs. The zero value is not usable; call NewInterner.
 //
 // An Interner is not synchronized. Intern writes; Lookup, Value and Len only
-// read. The fact store confines Intern calls to its single-threaded write
-// phase, so the chase's parallel join workers may call the read methods
-// concurrently (see database.Store's concurrency contract).
+// read, so any number of readers may call them concurrently while no Intern
+// runs (see database.Store's concurrency contract).
 type Interner struct {
 	byKey map[string]ValueID
 	terms []Term
